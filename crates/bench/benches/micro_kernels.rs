@@ -1,21 +1,27 @@
 //! Micro-benchmarks for the primitive operations behind the root
 //! causes: distance kernels, one-vs-many scans, top-k heaps (RC#6), PQ
-//! table construction (RC#7) and the blocked GEMM (RC#1, paper §V-A).
-//! The macro experiments live in the other bench targets; these
-//! quantify the per-operation deltas.
+//! table construction (RC#7), the blocked GEMM (RC#1, paper §V-A) and
+//! what a bucket costs through the buffer pool (RC#2). The macro
+//! experiments live in the other bench targets; these quantify the
+//! per-operation deltas.
 //!
 //! Each line is the best of [`ROUNDS`] timed batches, in ns per call
-//! (ns per row for `scan_batched`, so the batched arm reads directly
-//! against the per-row ones).
+//! (ns per row for `scan_batched` and `paged_scan`, so the batched arm
+//! reads directly against the per-row ones).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vdb_core::gemm::{gemm_nt_blocked, gemm_nt_naive};
+use vdb_core::generalized::{GeneralizedOptions, PaseIvfFlatIndex};
+use vdb_core::storage::{BufferManager, DiskManager, PageSize};
 use vdb_core::vecmath::distance::{l2_sqr_ref, l2_sqr_unrolled};
 use vdb_core::vecmath::pq::train_default;
 use vdb_core::vecmath::rng::Rng;
 use vdb_core::vecmath::simd;
-use vdb_core::vecmath::{KHeap, KmeansFlavor, NHeap, PqTableMode, VectorSet};
+use vdb_core::vecmath::{
+    DistanceKernel, IvfParams, KHeap, KmeansFlavor, NHeap, PqTableMode, TopKStrategy, VectorSet,
+};
 
 /// Timed batches per arm; the fastest one is reported.
 const ROUNDS: u32 = 20;
@@ -149,10 +155,45 @@ fn gemm_nt() {
     }
 }
 
+/// RC#2's residual: one resident IVF_FLAT bucket of 8,192 rows at
+/// d = 128 (a one-cluster index probed with `nprobe` 1) read through
+/// the buffer pool (pin, line pointers, page-by-page kernel) against
+/// the same rows read from the RC#2 cache, with each kernel. Both arms
+/// run the whole search with a size-k heap, so the difference is the
+/// page path.
+fn paged_scan() {
+    let (n, d) = (8192usize, 128usize);
+    let data = VectorSet::from_flat(d, random(n * d, 8));
+    let query = random(d, 9);
+    let params = IvfParams {
+        clusters: 1,
+        sample_ratio: 1.0,
+        nprobe: 1,
+    };
+    for distance in [DistanceKernel::Reference, DistanceKernel::Optimized] {
+        for (arm, memory_optimized) in [("pool", false), ("cache", true)] {
+            let opts = GeneralizedOptions {
+                distance,
+                memory_optimized,
+                topk: TopKStrategy::SizeK,
+                ..GeneralizedOptions::default()
+            };
+            let bm = BufferManager::new(Arc::new(DiskManager::new(PageSize::Size8K)), 1024);
+            // PANIC-OK: a bench over an in-memory disk and a pool larger than the index.
+            let (index, _) = PaseIvfFlatIndex::build(opts, params, &bm, &data).expect("build");
+            let label = format!("{arm}/{distance:?}").to_lowercase();
+            bench("paged_scan", &label, n, || {
+                index.search_with_nprobe(&bm, &query, 10, 1)
+            });
+        }
+    }
+}
+
 fn main() {
     distance_kernels();
     batched_scan();
     topk_heaps();
     pq_tables();
     gemm_nt();
+    paged_scan();
 }

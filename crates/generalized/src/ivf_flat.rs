@@ -10,32 +10,18 @@
 //! 35–85× slower builds.
 
 use crate::index_am::PaseIndex;
+use crate::ivf_pages::{IvfPages, ScanScratch};
 use crate::options::GeneralizedOptions;
 use std::time::Instant;
 use vdb_filter::{FilterStrategy, SelectionBitmap};
 use vdb_profile::{self as profile, Category};
 use vdb_serve::{scan_block, BatchScratch, QueryBlock};
 use vdb_storage::heap::{as_bytes_f32, bytemuck_f32};
-use vdb_storage::tuple::{decode_u32_at, decode_u64_at};
-use vdb_storage::{BufferManager, Page, RelId, Result, Tid};
+use vdb_storage::{BufferManager, Result};
 use vdb_vecmath::sampling::sample_indices;
 use vdb_vecmath::{
     BuildTiming, IvfParams, KHeap, Kmeans, KmeansParams, Metric, Neighbor, TopKCollector, VectorSet,
 };
-
-/// Sentinel "no next page" block number in the page chain.
-const NO_NEXT: u32 = u32::MAX;
-/// Special-space layout of data pages: `[next_block u32][bucket u32]`.
-const SPECIAL_LEN: usize = 8;
-
-/// Per-bucket page-chain bookkeeping (PASE keeps the equivalent in its
-/// index meta page).
-#[derive(Clone, Copy, Debug)]
-struct BucketChain {
-    head: u32,
-    tail: u32,
-    count: usize,
-}
 
 /// RC#2 fix: a direct-array mirror of one bucket.
 struct BucketCache {
@@ -51,9 +37,7 @@ pub struct PaseIvfFlatIndex {
     /// In-memory copy of the trained centroids, used for assignment at
     /// build time (PASE also trains in memory before writing pages).
     quantizer: Kmeans,
-    centroid_rel: RelId,
-    data_rel: RelId,
-    chains: Vec<Option<BucketChain>>,
+    pages: IvfPages,
     len: usize,
     cache: Option<Vec<BucketCache>>,
 }
@@ -117,19 +101,12 @@ impl PaseIvfFlatIndex {
         bm: &BufferManager,
         quantizer: Kmeans,
     ) -> Result<PaseIvfFlatIndex> {
-        let dim = quantizer.dim();
-        let centroid_rel = bm.disk().create_relation();
-        let data_rel = bm.disk().create_relation();
-        write_vector_pages(bm, centroid_rel, quantizer.centroids())?;
-        let chains = vec![None; quantizer.k()];
         Ok(PaseIvfFlatIndex {
             opts,
             params,
-            dim,
+            dim: quantizer.dim(),
+            pages: IvfPages::create(bm, quantizer.centroids())?,
             quantizer,
-            centroid_rel,
-            data_rel,
-            chains,
             len: 0,
             cache: None,
         })
@@ -146,14 +123,15 @@ impl PaseIvfFlatIndex {
             Some(kernel) => {
                 let assignments = self.quantizer.assign_batch(kernel, data);
                 for (i, &a) in assignments.iter().enumerate() {
-                    self.append(bm, a as usize, id_of(base, i), data.row(i))?;
+                    self.pages
+                        .append(bm, a as usize, id_of(base, i), as_bytes_f32(data.row(i)))?;
                 }
             }
             None => {
                 for i in 0..data.len() {
                     let v = data.row(i);
                     let (a, _) = self.quantizer.nearest(self.opts.distance, v);
-                    self.append(bm, a, id_of(base, i), v)?;
+                    self.pages.append(bm, a, id_of(base, i), as_bytes_f32(v))?;
                 }
             }
         }
@@ -161,94 +139,21 @@ impl PaseIvfFlatIndex {
         Ok(())
     }
 
-    /// Append one `(id, vector)` tuple to bucket `b`'s page chain.
-    fn append(&mut self, bm: &BufferManager, b: usize, id: u64, v: &[f32]) -> Result<Tid> {
-        let mut tuple = Vec::with_capacity(8 + v.len() * 4);
-        tuple.extend_from_slice(&id.to_le_bytes());
-        tuple.extend_from_slice(as_bytes_f32(v));
-
-        if let Some(chain) = self.chains[b] {
-            if let Some(off) =
-                bm.with_page_mut(self.data_rel, chain.tail, |p| p.add_item(&tuple))?
-            {
-                self.chains[b] = Some(BucketChain {
-                    count: chain.count + 1,
-                    ..chain
-                });
-                return Ok(Tid::new(chain.tail, off));
-            }
-        }
-
-        // Need a fresh page at the end of the chain.
-        let (blk, off) = bm.new_page(self.data_rel, SPECIAL_LEN, |p| {
-            write_special(p, NO_NEXT, b as u32);
-            // PANIC-OK: build checked the tuple against empty-page capacity up front.
-            p.add_item(&tuple).expect("fresh page fits one tuple")
-        })?;
-        match self.chains[b] {
-            Some(chain) => {
-                bm.with_page_mut(self.data_rel, chain.tail, |p| {
-                    let (_, bucket) = read_special(p);
-                    write_special(p, blk, bucket);
-                })?;
-                self.chains[b] = Some(BucketChain {
-                    head: chain.head,
-                    tail: blk,
-                    count: chain.count + 1,
-                });
-            }
-            None => {
-                self.chains[b] = Some(BucketChain {
-                    head: blk,
-                    tail: blk,
-                    count: 1,
-                })
-            }
-        }
-        Ok(Tid::new(blk, off))
-    }
-
     /// Materialize the RC#2 "memory-optimized table" cache by scanning
     /// every bucket chain once.
     fn populate_cache(&mut self, bm: &BufferManager) -> Result<()> {
-        let mut cache = Vec::with_capacity(self.chains.len());
-        for b in 0..self.chains.len() {
+        let mut cache = Vec::with_capacity(self.pages.buckets());
+        for b in 0..self.pages.buckets() {
             let mut ids = Vec::new();
             let mut vectors = VectorSet::empty(self.dim);
-            self.walk_bucket(bm, b, |id, v| {
+            self.pages.visit(bm, b, |id, payload| {
                 ids.push(id);
-                vectors.push(v);
+                vectors.push(bytemuck_f32(payload));
             })?;
             cache.push(BucketCache { ids, vectors });
         }
         self.cache = Some(cache);
         Ok(())
-    }
-
-    /// Walk bucket `b`'s page chain, invoking `f(id, vector)` per tuple.
-    fn walk_bucket(
-        &self,
-        bm: &BufferManager,
-        b: usize,
-        mut f: impl FnMut(u64, &[f32]),
-    ) -> Result<()> {
-        let Some(chain) = self.chains[b] else {
-            return Ok(());
-        };
-        let mut blk = chain.head;
-        loop {
-            let next = bm.with_page(self.data_rel, blk, |p| {
-                for (_, bytes) in p.items() {
-                    let id = decode_u64_at(bytes, 0);
-                    f(id, bytemuck_f32(&bytes[8..]));
-                }
-                read_special(p).0
-            })?;
-            if next == NO_NEXT {
-                return Ok(());
-            }
-            blk = next;
-        }
     }
 
     /// The trained centroids (e.g. for transplanting into Faiss* —
@@ -259,10 +164,7 @@ impl PaseIvfFlatIndex {
 
     /// Per-bucket tuple counts.
     pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.chains
-            .iter()
-            .map(|c| c.map_or(0, |c| c.count))
-            .collect()
+        self.pages.bucket_sizes()
     }
 
     /// Select the `nprobe` closest centroids, reading centroid pages
@@ -273,33 +175,8 @@ impl PaseIvfFlatIndex {
         query: &[f32],
         nprobe: usize,
     ) -> Result<Vec<usize>> {
-        if self.opts.memory_optimized {
-            return Ok(self
-                .quantizer
-                .nearest_n(self.opts.distance, query, nprobe)
-                .into_iter()
-                .map(|(b, _)| b)
-                .collect());
-        }
-        let mut dists: Vec<(usize, f32)> = Vec::with_capacity(self.quantizer.k());
-        let nblocks = bm.disk().nblocks(self.centroid_rel);
-        let mut idx = 0usize;
-        for blk in 0..nblocks as u32 {
-            bm.with_page(self.centroid_rel, blk, |p| {
-                for (_, bytes) in p.items() {
-                    let c = bytemuck_f32(bytes);
-                    let d = {
-                        let _t = profile::scoped(Category::DistanceCalc);
-                        self.opts.metric.distance_with(self.opts.distance, query, c)
-                    };
-                    dists.push((idx, d));
-                    idx += 1;
-                }
-            })?;
-        }
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        dists.truncate(nprobe.max(1));
-        Ok(dists.into_iter().map(|(b, _)| b).collect())
+        self.pages
+            .select_probes(bm, &self.opts, &self.quantizer, query, nprobe)
     }
 
     /// Search with an explicit `nprobe` (Figure 19 sweeps this).
@@ -316,7 +193,7 @@ impl PaseIvfFlatIndex {
         self.opts.probe_search(
             &[(query, probes)],
             k,
-            |q, b, push| self.scan_bucket_into(bm, b, q, push),
+            |q, b, scratch, push| self.scan_bucket_into(bm, b, q, None, scratch, push),
             |r| out = r,
         )?;
         Ok(out)
@@ -342,7 +219,7 @@ impl PaseIvfFlatIndex {
         self.opts.probe_search(
             &batch,
             k,
-            |q, b, push| self.scan_bucket_into(bm, b, q, push),
+            |q, b, scratch, push| self.scan_bucket_into(bm, b, q, None, scratch, push),
             |r| out.push(r),
         )?;
         Ok(out)
@@ -377,7 +254,7 @@ impl PaseIvfFlatIndex {
             .unwrap_or(vdb_gemm::GemmKernel::Blas);
         let qb = QueryBlock::pack(queries);
         let mut heaps: Vec<KHeap> = ks.iter().map(|&k| KHeap::new(k)).collect();
-        let mut active: Vec<Vec<usize>> = vec![Vec::new(); self.chains.len()];
+        let mut active: Vec<Vec<usize>> = vec![Vec::new(); self.pages.buckets()];
         for (qi, q) in queries.iter().enumerate() {
             for b in self.select_probes(bm, q, nprobe)? {
                 active[b].push(qi);
@@ -409,9 +286,9 @@ impl PaseIvfFlatIndex {
                 scratch_rows.clear();
                 {
                     let _t = profile::scoped(Category::TupleAccess);
-                    self.walk_bucket(bm, b, |id, v| {
+                    self.pages.visit(bm, b, |id, payload| {
                         scratch_ids.push(id);
-                        scratch_rows.extend_from_slice(v);
+                        scratch_rows.extend_from_slice(bytemuck_f32(payload));
                     })?;
                 }
                 scan_block(
@@ -429,153 +306,41 @@ impl PaseIvfFlatIndex {
         Ok(heaps.into_iter().map(KHeap::into_sorted).collect())
     }
 
-    /// Scan one bucket, feeding `(id, distance)` pairs to `push`.
+    /// Scan one bucket, feeding `(id, distance)` pairs to `push`; with
+    /// a `filter`, only tuples whose id it holds are scored (both
+    /// filtered strategies: distance work scales with the passing-tuple
+    /// count, while page I/O still covers the chain).
     ///
-    /// The paged path works page by page in three attributed phases,
-    /// mirroring how Table V separates the costs: tuple access
-    /// (line-pointer chase + parse, on top of the buffer manager's own
-    /// pin/unpin accounting), distance computation, and heap pushes.
+    /// The paged path is [`IvfPages::scan`]; the RC#2 fix reads the
+    /// cached arrays with no buffer manager.
     pub(crate) fn scan_bucket_into(
         &self,
         bm: &BufferManager,
         b: usize,
         query: &[f32],
+        filter: Option<&SelectionBitmap>,
+        scratch: &mut ScanScratch,
         push: &mut dyn FnMut(u64, f32),
     ) -> Result<()> {
-        if let Some(cache) = &self.cache {
-            // RC#2 fix: direct arrays, no buffer manager.
-            let bucket = &cache[b];
-            let dists: Vec<f32> = {
-                let _t = profile::scoped(Category::DistanceCalc);
-                bucket
-                    .vectors
-                    .iter()
-                    .map(|v| self.opts.metric.distance_with(self.opts.distance, query, v))
-                    .collect()
-            };
-            let _h = profile::scoped(Category::MinHeap);
-            profile::count(Category::MinHeap, dists.len() as u64);
-            for (i, &d) in dists.iter().enumerate() {
-                push(bucket.ids[i], d);
-            }
-            return Ok(());
-        }
-
-        let Some(chain) = self.chains[b] else {
-            return Ok(());
+        let kernel = |v: &[f32]| self.opts.metric.distance_with(self.opts.distance, query, v);
+        let Some(cache) = &self.cache else {
+            return self.pages.scan(
+                bm,
+                b,
+                filter,
+                scratch,
+                |payload| kernel(bytemuck_f32(payload)),
+                push,
+            );
         };
-        let mut ids: Vec<u64> = Vec::new();
-        let mut dists: Vec<f32> = Vec::new();
-        let mut blk = chain.head;
-        loop {
-            ids.clear();
-            dists.clear();
-            let next = bm.with_page(self.data_rel, blk, |p| {
-                let tuples: Vec<(u64, &[f32])> = {
-                    let _t = profile::scoped(Category::TupleAccess);
-                    p.items()
-                        .map(|(_, bytes)| (decode_u64_at(bytes, 0), bytemuck_f32(&bytes[8..])))
-                        .collect()
-                };
-                {
-                    let _t = profile::scoped(Category::DistanceCalc);
-                    for (id, v) in tuples {
-                        ids.push(id);
-                        dists.push(self.opts.metric.distance_with(self.opts.distance, query, v));
-                    }
-                }
-                read_special(p).0
-            })?;
-            {
-                let _h = profile::scoped(Category::MinHeap);
-                profile::count(Category::MinHeap, dists.len() as u64);
-                for (i, &d) in dists.iter().enumerate() {
-                    push(ids[i], d);
-                }
-            }
-            if next == NO_NEXT {
-                return Ok(());
-            }
-            blk = next;
-        }
-    }
-
-    /// Scan one bucket like [`scan_bucket_into`](Self::scan_bucket_into),
-    /// but qualify every tuple id against `filter` *before* computing
-    /// its distance (both filtered strategies: distance work scales with
-    /// the passing-tuple count, while page I/O still covers the chain).
-    fn scan_bucket_filtered_into(
-        &self,
-        bm: &BufferManager,
-        b: usize,
-        query: &[f32],
-        filter: &SelectionBitmap,
-        push: &mut dyn FnMut(u64, f32),
-    ) -> Result<()> {
-        if let Some(cache) = &self.cache {
-            let bucket = &cache[b];
-            for (i, &id) in bucket.ids.iter().enumerate() {
-                let passes = {
-                    let _t = profile::scoped(Category::FilterEval);
-                    filter.contains(id)
-                };
-                if passes {
-                    let d = {
-                        let _t = profile::scoped(Category::DistanceCalc);
-                        self.opts.metric.distance_with(
-                            self.opts.distance,
-                            query,
-                            bucket.vectors.row(i),
-                        )
-                    };
-                    push(id, d);
-                }
-            }
-            return Ok(());
-        }
-
-        let Some(chain) = self.chains[b] else {
-            return Ok(());
-        };
-        let mut blk = chain.head;
-        loop {
-            let mut hits: Vec<(u64, f32)> = Vec::new();
-            let next = bm.with_page(self.data_rel, blk, |p| {
-                for (_, bytes) in p.items() {
-                    let id = {
-                        let _t = profile::scoped(Category::TupleAccess);
-                        decode_u64_at(bytes, 0)
-                    };
-                    let passes = {
-                        let _t = profile::scoped(Category::FilterEval);
-                        filter.contains(id)
-                    };
-                    if passes {
-                        let d = {
-                            let _t = profile::scoped(Category::DistanceCalc);
-                            self.opts.metric.distance_with(
-                                self.opts.distance,
-                                query,
-                                bytemuck_f32(&bytes[8..]),
-                            )
-                        };
-                        hits.push((id, d));
-                    }
-                }
-                read_special(p).0
-            })?;
-            {
-                let _h = profile::scoped(Category::MinHeap);
-                profile::count(Category::MinHeap, hits.len() as u64);
-                for (id, d) in hits {
-                    push(id, d);
-                }
-            }
-            if next == NO_NEXT {
-                return Ok(());
-            }
-            blk = next;
-        }
+        let bucket = &cache[b];
+        let rows = bucket.ids.iter().copied().zip(bucket.vectors.iter());
+        scratch.score(
+            rows.filter(|&(id, _)| filter.is_none_or(|f| f.contains(id))),
+            kernel,
+        );
+        scratch.flush(push);
+        Ok(())
     }
 }
 
@@ -611,7 +376,7 @@ impl PaseIndex for PaseIvfFlatIndex {
     fn insert(&mut self, bm: &BufferManager, id: u64, vector: &[f32]) -> Result<()> {
         assert_eq!(vector.len(), self.dim, "dimension mismatch");
         let (b, _) = self.quantizer.nearest(self.opts.distance, vector);
-        self.append(bm, b, id, vector)?;
+        self.pages.append(bm, b, id, as_bytes_f32(vector))?;
         self.len += 1;
         if let Some(cache) = &mut self.cache {
             cache[b].ids.push(id);
@@ -625,7 +390,7 @@ impl PaseIndex for PaseIvfFlatIndex {
     }
 
     fn size_bytes(&self, bm: &BufferManager) -> usize {
-        bm.disk().relation_bytes(self.centroid_rel) + bm.disk().relation_bytes(self.data_rel)
+        self.pages.size_bytes(bm)
     }
 
     fn dim(&self) -> usize {
@@ -656,7 +421,7 @@ impl PaseIndex for PaseIvfFlatIndex {
         }
         let (buckets, mut collector) = match strategy {
             FilterStrategy::PreFilter => (
-                (0..self.chains.len()).collect(),
+                (0..self.pages.buckets()).collect(),
                 TopKCollector::SizeK(KHeap::new(k)),
             ),
             FilterStrategy::PostFilter => (
@@ -664,45 +429,14 @@ impl PaseIndex for PaseIvfFlatIndex {
                 self.opts.topk.collector(k),
             ),
         };
+        let mut scratch = ScanScratch::default();
         for b in buckets {
-            self.scan_bucket_filtered_into(bm, b, query, filter, &mut |id, d| {
+            self.scan_bucket_into(bm, b, query, Some(filter), &mut scratch, &mut |id, d| {
                 collector.push(id, d);
             })?;
         }
         Ok(collector.into_sorted())
     }
-}
-
-/// Write a vector set into sequential pages of `rel` (used for centroid
-/// pages; tuples are bare f32 arrays).
-fn write_vector_pages(bm: &BufferManager, rel: RelId, vectors: &VectorSet) -> Result<()> {
-    let mut current: Option<u32> = None;
-    for v in vectors.iter() {
-        let bytes = as_bytes_f32(v);
-        let placed = match current {
-            Some(blk) => bm.with_page_mut(rel, blk, |p| p.add_item(bytes))?.is_some(),
-            None => false,
-        };
-        if !placed {
-            let (blk, _) = bm.new_page(rel, 0, |p| {
-                // PANIC-OK: one centroid vector is checked to fit a page at build time.
-                p.add_item(bytes).expect("fresh page fits a centroid")
-            })?;
-            current = Some(blk);
-        }
-    }
-    Ok(())
-}
-
-fn write_special(p: &mut Page, next: u32, bucket: u32) {
-    let sp = p.special_mut();
-    sp[0..4].copy_from_slice(&next.to_le_bytes());
-    sp[4..8].copy_from_slice(&bucket.to_le_bytes());
-}
-
-fn read_special(p: &Page) -> (u32, u32) {
-    let sp = p.special();
-    (decode_u32_at(sp, 0), decode_u32_at(sp, 4))
 }
 
 #[cfg(test)]
@@ -831,23 +565,93 @@ mod tests {
         }
     }
 
+    /// `(id, distance bits)` of a result list, for bit-for-bit checks.
+    fn bits(found: &[Neighbor]) -> Vec<(u64, u32)> {
+        found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    }
+
+    /// The paged walk and the RC#2 cache return the same neighbors, bit
+    /// for bit, through every walk (unfiltered, both filtered strategies
+    /// and the batch path) on random queries, `k` and `nprobe`, after
+    /// random inserts that leave partly filled tail pages. At full probe
+    /// both equal brute force over every row, which also checks the
+    /// cache that `populate_cache` read through the same walk.
     #[test]
     fn memory_optimized_gives_identical_results() {
-        let (bm, data) = setup();
-        let base = GeneralizedOptions::default();
-        let fixed = GeneralizedOptions {
-            memory_optimized: true,
-            ..base
-        };
-        let (a, _) = PaseIvfFlatIndex::build(base, small_params(), &bm, &data).unwrap();
-        let (b, _) = PaseIvfFlatIndex::build(fixed, small_params(), &bm, &data).unwrap();
-        for qi in [5usize, 100] {
-            let q = data.row(qi);
-            assert_eq!(
-                a.search_with_nprobe(&bm, q, 10, 4).unwrap(),
-                b.search_with_nprobe(&bm, q, 10, 4).unwrap(),
-            );
-        }
+        vdb_vecmath::rng::cases("memory_optimized_gives_identical_results", 24, |rng| {
+            let (bm, mut data) = setup();
+            let paged = GeneralizedOptions::default();
+            let cached = GeneralizedOptions {
+                memory_optimized: true,
+                ..paged
+            };
+            let (mut a, _) = PaseIvfFlatIndex::build(paged, small_params(), &bm, &data).unwrap();
+            let (mut b, _) = PaseIvfFlatIndex::build(cached, small_params(), &bm, &data).unwrap();
+            let near = |rng: &mut vdb_vecmath::rng::Rng, data: &VectorSet| -> Vec<f32> {
+                let row = data.row(rng.range_usize(0..data.len()));
+                row.iter().map(|x| x + rng.range_f32(-0.5..0.5)).collect()
+            };
+            for _ in 0..rng.range_usize(0..60) {
+                let v = near(rng, &data);
+                let id = data.len() as u64;
+                a.insert(&bm, id, &v).unwrap();
+                b.insert(&bm, id, &v).unwrap();
+                data.push(&v);
+            }
+            let mut filter = SelectionBitmap::new();
+            for id in 0..data.len() as u64 {
+                if rng.range_usize(0..4) == 0 {
+                    filter.insert(id);
+                }
+            }
+            let mut queries = VectorSet::empty(data.dim());
+            let mut ks = Vec::new();
+            let nprobe = rng.range_usize(1..17);
+            for _ in 0..4 {
+                let q = near(rng, &data);
+                let k = rng.range_usize(1..40);
+                let pair = |idx: &PaseIvfFlatIndex| {
+                    bits(&idx.search_with_nprobe(&bm, &q, k, nprobe).unwrap())
+                };
+                assert_eq!(pair(&a), pair(&b), "unfiltered k={k} nprobe={nprobe}");
+                for strategy in [FilterStrategy::PreFilter, FilterStrategy::PostFilter] {
+                    let filtered = |idx: &PaseIvfFlatIndex| {
+                        bits(
+                            &idx.scan_filtered(&bm, &q, k, &filter, strategy, Some(nprobe))
+                                .unwrap(),
+                        )
+                    };
+                    assert_eq!(
+                        filtered(&a),
+                        filtered(&b),
+                        "{strategy:?} k={k} nprobe={nprobe}"
+                    );
+                }
+                // Full probe: brute force over every row, base and inserted.
+                let mut oracle: Vec<Neighbor> = data
+                    .iter()
+                    .enumerate()
+                    .map(|(id, v)| {
+                        Neighbor::new(id as u64, paged.metric.distance_with(paged.distance, &q, v))
+                    })
+                    .collect();
+                oracle.sort_unstable();
+                oracle.truncate(k);
+                for idx in [&a, &b] {
+                    assert_eq!(
+                        bits(&idx.search_with_nprobe(&bm, &q, k, 16).unwrap()),
+                        bits(&oracle)
+                    );
+                }
+                queries.push(&q);
+                ks.push(k);
+            }
+            let batch = |idx: &PaseIvfFlatIndex| -> Vec<Vec<(u64, u32)>> {
+                let found = idx.scan_batch(&bm, &queries, &ks, Some(nprobe)).unwrap();
+                found.iter().map(|r| bits(r)).collect()
+            };
+            assert_eq!(batch(&a), batch(&b), "batch nprobe={nprobe}");
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! PASE's IVF_PQ: the paged IVF structure with PQ-coded tuples.
 //!
-//! Identical page organization to [`crate::ivf_flat`], but data-page
+//! The same pages as IVF_FLAT (`ivf_pages`), but data-page
 //! tuples hold `m`-byte PQ codes instead of raw vectors, and each query
 //! first materializes an ADC precomputed table. PASE computes that table
 //! the straightforward way — full subtract-square distances per entry,
@@ -8,26 +8,16 @@
 //! Faiss construction is one options flip away.
 
 use crate::index_am::PaseIndex;
+use crate::ivf_pages::{write_pages, IvfPages, ScanScratch};
 use crate::options::GeneralizedOptions;
 use std::time::Instant;
 use vdb_profile::{self as profile, Category};
-use vdb_storage::heap::{as_bytes_f32, bytemuck_f32};
-use vdb_storage::tuple::{decode_u32_at, decode_u64_at};
-use vdb_storage::{BufferManager, Page, RelId, Result, Tid};
+use vdb_storage::heap::as_bytes_f32;
+use vdb_storage::{BufferManager, RelId, Result};
 use vdb_vecmath::sampling::sample_indices;
 use vdb_vecmath::{
     BuildTiming, IvfParams, Kmeans, KmeansParams, Neighbor, PqParams, ProductQuantizer, VectorSet,
 };
-
-const NO_NEXT: u32 = u32::MAX;
-const SPECIAL_LEN: usize = 8;
-
-#[derive(Clone, Copy, Debug)]
-struct BucketChain {
-    head: u32,
-    tail: u32,
-    count: usize,
-}
 
 /// RC#2 fix: direct-array mirror of one bucket's codes.
 struct BucketCache {
@@ -43,10 +33,8 @@ pub struct PaseIvfPqIndex {
     dim: usize,
     quantizer: Kmeans,
     pq: ProductQuantizer,
-    centroid_rel: RelId,
+    pages: IvfPages,
     codebook_rel: RelId,
-    data_rel: RelId,
-    chains: Vec<Option<BucketChain>>,
     len: usize,
     cache: Option<Vec<BucketCache>>,
 }
@@ -107,12 +95,16 @@ impl PaseIvfPqIndex {
         let train = t0.elapsed();
 
         let t1 = Instant::now();
-        let centroid_rel = bm.disk().create_relation();
+        let pages = IvfPages::create(bm, quantizer.centroids())?;
+        // The PQ codebooks, one tuple per codeword, so index size
+        // accounting covers them, as PASE's meta pages do.
         let codebook_rel = bm.disk().create_relation();
-        let data_rel = bm.disk().create_relation();
-        write_vector_pages(bm, centroid_rel, quantizer.centroids())?;
-        write_codebook_pages(bm, codebook_rel, &pq)?;
-        let chains = vec![None; quantizer.k()];
+        let codewords = (0..pq.m()).flat_map(|sub| (0..pq.cpq()).map(move |j| (sub, j)));
+        write_pages(
+            bm,
+            codebook_rel,
+            codewords.map(|(sub, j)| as_bytes_f32(pq.codeword(sub, j))),
+        )?;
         let mut index = PaseIvfPqIndex {
             opts,
             params,
@@ -120,10 +112,8 @@ impl PaseIvfPqIndex {
             dim: quantizer.dim(),
             quantizer,
             pq,
-            centroid_rel,
+            pages,
             codebook_rel,
-            data_rel,
-            chains,
             len: 0,
             cache: None,
         };
@@ -144,7 +134,7 @@ impl PaseIvfPqIndex {
                 let assignments = self.quantizer.assign_batch(kernel, data);
                 for (i, &a) in assignments.iter().enumerate() {
                     let code = self.pq.encode(data.row(i));
-                    self.append(bm, a as usize, id_of(base, i), &code)?;
+                    self.pages.append(bm, a as usize, id_of(base, i), &code)?;
                 }
             }
             None => {
@@ -152,7 +142,7 @@ impl PaseIvfPqIndex {
                     let v = data.row(i);
                     let (a, _) = self.quantizer.nearest(self.opts.distance, v);
                     let code = self.pq.encode(v);
-                    self.append(bm, a, id_of(base, i), &code)?;
+                    self.pages.append(bm, a, id_of(base, i), &code)?;
                 }
             }
         }
@@ -160,56 +150,12 @@ impl PaseIvfPqIndex {
         Ok(())
     }
 
-    fn append(&mut self, bm: &BufferManager, b: usize, id: u64, code: &[u8]) -> Result<Tid> {
-        let mut tuple = Vec::with_capacity(8 + code.len());
-        tuple.extend_from_slice(&id.to_le_bytes());
-        tuple.extend_from_slice(code);
-
-        if let Some(chain) = self.chains[b] {
-            if let Some(off) =
-                bm.with_page_mut(self.data_rel, chain.tail, |p| p.add_item(&tuple))?
-            {
-                self.chains[b] = Some(BucketChain {
-                    count: chain.count + 1,
-                    ..chain
-                });
-                return Ok(Tid::new(chain.tail, off));
-            }
-        }
-        let (blk, off) = bm.new_page(self.data_rel, SPECIAL_LEN, |p| {
-            write_special(p, NO_NEXT, b as u32);
-            // PANIC-OK: a PQ code tuple (8 + m bytes) is far below page capacity.
-            p.add_item(&tuple).expect("fresh page fits one code tuple")
-        })?;
-        match self.chains[b] {
-            Some(chain) => {
-                bm.with_page_mut(self.data_rel, chain.tail, |p| {
-                    let (_, bucket) = read_special(p);
-                    write_special(p, blk, bucket);
-                })?;
-                self.chains[b] = Some(BucketChain {
-                    head: chain.head,
-                    tail: blk,
-                    count: chain.count + 1,
-                });
-            }
-            None => {
-                self.chains[b] = Some(BucketChain {
-                    head: blk,
-                    tail: blk,
-                    count: 1,
-                })
-            }
-        }
-        Ok(Tid::new(blk, off))
-    }
-
     fn populate_cache(&mut self, bm: &BufferManager) -> Result<()> {
-        let mut cache = Vec::with_capacity(self.chains.len());
-        for b in 0..self.chains.len() {
+        let mut cache = Vec::with_capacity(self.pages.buckets());
+        for b in 0..self.pages.buckets() {
             let mut ids = Vec::new();
             let mut codes = Vec::new();
-            self.walk_bucket(bm, b, |id, code| {
+            self.pages.visit(bm, b, |id, code| {
                 ids.push(id);
                 codes.extend_from_slice(code);
             })?;
@@ -217,31 +163,6 @@ impl PaseIvfPqIndex {
         }
         self.cache = Some(cache);
         Ok(())
-    }
-
-    fn walk_bucket(
-        &self,
-        bm: &BufferManager,
-        b: usize,
-        mut f: impl FnMut(u64, &[u8]),
-    ) -> Result<()> {
-        let Some(chain) = self.chains[b] else {
-            return Ok(());
-        };
-        let mut blk = chain.head;
-        loop {
-            let next = bm.with_page(self.data_rel, blk, |p| {
-                for (_, bytes) in p.items() {
-                    let id = decode_u64_at(bytes, 0);
-                    f(id, &bytes[8..]);
-                }
-                read_special(p).0
-            })?;
-            if next == NO_NEXT {
-                return Ok(());
-            }
-            blk = next;
-        }
     }
 
     /// The product quantizer.
@@ -256,10 +177,7 @@ impl PaseIvfPqIndex {
 
     /// Per-bucket tuple counts.
     pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.chains
-            .iter()
-            .map(|c| c.map_or(0, |c| c.count))
-            .collect()
+        self.pages.bucket_sizes()
     }
 
     fn select_probes(
@@ -268,33 +186,8 @@ impl PaseIvfPqIndex {
         query: &[f32],
         nprobe: usize,
     ) -> Result<Vec<usize>> {
-        if self.opts.memory_optimized {
-            return Ok(self
-                .quantizer
-                .nearest_n(self.opts.distance, query, nprobe)
-                .into_iter()
-                .map(|(b, _)| b)
-                .collect());
-        }
-        let mut dists: Vec<(usize, f32)> = Vec::with_capacity(self.quantizer.k());
-        let nblocks = bm.disk().nblocks(self.centroid_rel);
-        let mut idx = 0usize;
-        for blk in 0..nblocks as u32 {
-            bm.with_page(self.centroid_rel, blk, |p| {
-                for (_, bytes) in p.items() {
-                    let c = bytemuck_f32(bytes);
-                    let d = {
-                        let _t = profile::scoped(Category::DistanceCalc);
-                        self.opts.metric.distance_with(self.opts.distance, query, c)
-                    };
-                    dists.push((idx, d));
-                    idx += 1;
-                }
-            })?;
-        }
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        dists.truncate(nprobe.max(1));
-        Ok(dists.into_iter().map(|(b, _)| b).collect())
+        self.pages
+            .select_probes(bm, &self.opts, &self.quantizer, query, nprobe)
     }
 
     /// Search with an explicit `nprobe`.
@@ -313,7 +206,7 @@ impl PaseIvfPqIndex {
         self.opts.probe_search(
             &[(table, probes)],
             k,
-            |table, b, push| self.scan_bucket_into(bm, b, table, push),
+            |table, b, scratch, push| self.scan_bucket_into(bm, b, table, scratch, push),
             |r| out = r,
         )?;
         Ok(out)
@@ -339,77 +232,32 @@ impl PaseIvfPqIndex {
         self.opts.probe_search(
             &batch,
             k,
-            |table, b, push| self.scan_bucket_into(bm, b, table, push),
+            |table, b, scratch, push| self.scan_bucket_into(bm, b, table, scratch, push),
             |r| out.push(r),
         )?;
         Ok(out)
     }
 
-    /// Paged scan in three attributed phases (tuple parse, ADC lookup,
-    /// heap push), like the IVF_FLAT scan.
+    /// Scan one bucket with ADC lookups, feeding `(id, distance)` pairs
+    /// to `push`: [`IvfPages::scan`], or the cached codes under the
+    /// RC#2 fix.
     fn scan_bucket_into(
         &self,
         bm: &BufferManager,
         b: usize,
         table: &[f32],
+        scratch: &mut ScanScratch,
         push: &mut dyn FnMut(u64, f32),
     ) -> Result<()> {
-        let clen = self.pq.code_len();
-        if let Some(cache) = &self.cache {
-            let bucket = &cache[b];
-            let dists: Vec<f32> = {
-                let _t = profile::scoped(Category::DistanceCalc);
-                bucket
-                    .codes
-                    .chunks_exact(clen)
-                    .map(|code| self.pq.adc_distance(table, code))
-                    .collect()
-            };
-            let _h = profile::scoped(Category::MinHeap);
-            profile::count(Category::MinHeap, dists.len() as u64);
-            for (i, &d) in dists.iter().enumerate() {
-                push(bucket.ids[i], d);
-            }
-            return Ok(());
-        }
-
-        let Some(chain) = self.chains[b] else {
-            return Ok(());
+        let kernel = |code: &[u8]| self.pq.adc_distance(table, code);
+        let Some(cache) = &self.cache else {
+            return self.pages.scan(bm, b, None, scratch, kernel, push);
         };
-        let mut ids: Vec<u64> = Vec::new();
-        let mut dists: Vec<f32> = Vec::new();
-        let mut blk = chain.head;
-        loop {
-            ids.clear();
-            dists.clear();
-            let next = bm.with_page(self.data_rel, blk, |p| {
-                let tuples: Vec<(u64, &[u8])> = {
-                    let _t = profile::scoped(Category::TupleAccess);
-                    p.items()
-                        .map(|(_, bytes)| (decode_u64_at(bytes, 0), &bytes[8..]))
-                        .collect()
-                };
-                {
-                    let _t = profile::scoped(Category::DistanceCalc);
-                    for (id, code) in tuples {
-                        ids.push(id);
-                        dists.push(self.pq.adc_distance(table, code));
-                    }
-                }
-                read_special(p).0
-            })?;
-            {
-                let _h = profile::scoped(Category::MinHeap);
-                profile::count(Category::MinHeap, dists.len() as u64);
-                for (i, &d) in dists.iter().enumerate() {
-                    push(ids[i], d);
-                }
-            }
-            if next == NO_NEXT {
-                return Ok(());
-            }
-            blk = next;
-        }
+        let bucket = &cache[b];
+        let codes = bucket.codes.chunks_exact(self.pq.code_len());
+        scratch.score(bucket.ids.iter().copied().zip(codes), kernel);
+        scratch.flush(push);
+        Ok(())
     }
 }
 
@@ -436,7 +284,7 @@ impl PaseIndex for PaseIvfPqIndex {
         assert_eq!(vector.len(), self.dim, "dimension mismatch");
         let (b, _) = self.quantizer.nearest(self.opts.distance, vector);
         let code = self.pq.encode(vector);
-        self.append(bm, b, id, &code)?;
+        self.pages.append(bm, b, id, &code)?;
         self.len += 1;
         if let Some(cache) = &mut self.cache {
             cache[b].ids.push(id);
@@ -450,67 +298,12 @@ impl PaseIndex for PaseIvfPqIndex {
     }
 
     fn size_bytes(&self, bm: &BufferManager) -> usize {
-        bm.disk().relation_bytes(self.centroid_rel)
-            + bm.disk().relation_bytes(self.codebook_rel)
-            + bm.disk().relation_bytes(self.data_rel)
+        self.pages.size_bytes(bm) + bm.disk().relation_bytes(self.codebook_rel)
     }
 
     fn dim(&self) -> usize {
         self.dim
     }
-}
-
-fn write_vector_pages(bm: &BufferManager, rel: RelId, vectors: &VectorSet) -> Result<()> {
-    let mut current: Option<u32> = None;
-    for v in vectors.iter() {
-        let bytes = as_bytes_f32(v);
-        let placed = match current {
-            Some(blk) => bm.with_page_mut(rel, blk, |p| p.add_item(bytes))?.is_some(),
-            None => false,
-        };
-        if !placed {
-            let (blk, _) = bm.new_page(rel, 0, |p| {
-                // PANIC-OK: one centroid vector is checked to fit a page at build time.
-                p.add_item(bytes).expect("fresh page fits a centroid")
-            })?;
-            current = Some(blk);
-        }
-    }
-    Ok(())
-}
-
-/// Persist the PQ codebooks (one tuple per codeword) so index size
-/// accounting covers them, as PASE's meta pages do.
-fn write_codebook_pages(bm: &BufferManager, rel: RelId, pq: &ProductQuantizer) -> Result<()> {
-    let mut current: Option<u32> = None;
-    for sub in 0..pq.m() {
-        for j in 0..pq.cpq() {
-            let bytes = as_bytes_f32(pq.codeword(sub, j));
-            let placed = match current {
-                Some(blk) => bm.with_page_mut(rel, blk, |p| p.add_item(bytes))?.is_some(),
-                None => false,
-            };
-            if !placed {
-                let (blk, _) = bm.new_page(rel, 0, |p| {
-                    // PANIC-OK: one PQ codeword row is far below page capacity.
-                    p.add_item(bytes).expect("fresh page fits a codeword")
-                })?;
-                current = Some(blk);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn write_special(p: &mut Page, next: u32, bucket: u32) {
-    let sp = p.special_mut();
-    sp[0..4].copy_from_slice(&next.to_le_bytes());
-    sp[4..8].copy_from_slice(&bucket.to_le_bytes());
-}
-
-fn read_special(p: &Page) -> (u32, u32) {
-    let sp = p.special();
-    (decode_u32_at(sp, 0), decode_u32_at(sp, 4))
 }
 
 #[cfg(test)]
@@ -579,22 +372,81 @@ mod tests {
         }
     }
 
+    /// `(id, distance bits)` of a result list, for bit-for-bit checks.
+    fn bits(found: &[Neighbor]) -> Vec<(u64, u32)> {
+        found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    }
+
+    /// The paged ADC walk and the RC#2 code cache return the same
+    /// neighbors, bit for bit, serially and batched, on random queries,
+    /// `k` and `nprobe`, after random inserts that leave partly filled
+    /// tail pages. At full probe both equal the ADC distance of every
+    /// row's code, which also checks the cache `populate_cache` read.
     #[test]
     fn memory_optimized_matches_paged_path() {
-        let (bm, data) = setup();
-        let (ivf, pqp) = params();
-        let base = GeneralizedOptions::default();
-        let fixed = GeneralizedOptions {
-            memory_optimized: true,
-            ..base
-        };
-        let (a, _) = PaseIvfPqIndex::build(base, ivf, pqp, &bm, &data).unwrap();
-        let (b, _) = PaseIvfPqIndex::build(fixed, ivf, pqp, &bm, &data).unwrap();
-        let q = data.row(123);
-        assert_eq!(
-            a.search_with_nprobe(&bm, q, 10, 8).unwrap(),
-            b.search_with_nprobe(&bm, q, 10, 8).unwrap(),
-        );
+        vdb_vecmath::rng::cases("memory_optimized_matches_paged_path", 8, |rng| {
+            let (bm, mut data) = setup();
+            let (ivf, pqp) = params();
+            let paged = GeneralizedOptions::default();
+            let cached = GeneralizedOptions {
+                memory_optimized: true,
+                ..paged
+            };
+            let (mut a, _) = PaseIvfPqIndex::build(paged, ivf, pqp, &bm, &data).unwrap();
+            let (mut b, _) = PaseIvfPqIndex::build(cached, ivf, pqp, &bm, &data).unwrap();
+            let near = |rng: &mut vdb_vecmath::rng::Rng, data: &VectorSet| -> Vec<f32> {
+                let row = data.row(rng.range_usize(0..data.len()));
+                row.iter().map(|x| x + rng.range_f32(-0.5..0.5)).collect()
+            };
+            for _ in 0..rng.range_usize(0..60) {
+                let v = near(rng, &data);
+                let id = data.len() as u64;
+                a.insert(&bm, id, &v).unwrap();
+                b.insert(&bm, id, &v).unwrap();
+                data.push(&v);
+            }
+            let codes: Vec<Vec<u8>> = data.iter().map(|v| a.pq().encode(v)).collect();
+            let mut queries = VectorSet::empty(data.dim());
+            let k = rng.range_usize(1..40);
+            let nprobe = rng.range_usize(1..17);
+            for _ in 0..3 {
+                let q = near(rng, &data);
+                let serial = |idx: &PaseIvfPqIndex| {
+                    bits(&idx.search_with_nprobe(&bm, &q, k, nprobe).unwrap())
+                };
+                assert_eq!(serial(&a), serial(&b), "k={k} nprobe={nprobe}");
+                // Full probe: every row's code scored against the query's table.
+                let table = a.pq().adc_table(paged.pq_table, &q);
+                let mut oracle: Vec<Neighbor> = codes
+                    .iter()
+                    .enumerate()
+                    .map(|(id, code)| Neighbor::new(id as u64, a.pq().adc_distance(&table, code)))
+                    .collect();
+                oracle.sort_unstable();
+                oracle.truncate(k);
+                for idx in [&a, &b] {
+                    assert_eq!(
+                        bits(&idx.search_with_nprobe(&bm, &q, k, 16).unwrap()),
+                        bits(&oracle)
+                    );
+                }
+                queries.push(&q);
+            }
+            let batch = |idx: &PaseIvfPqIndex| -> Vec<Vec<(u64, u32)>> {
+                let found = idx
+                    .search_batch_with_nprobe(&bm, &queries, k, nprobe)
+                    .unwrap();
+                found.iter().map(|r| bits(r)).collect()
+            };
+            assert_eq!(batch(&a), batch(&b), "batch k={k} nprobe={nprobe}");
+            let ks = vec![k; queries.len()];
+            let found = a.scan_batch(&bm, &queries, &ks, Some(nprobe)).unwrap();
+            assert_eq!(
+                found.iter().map(|r| bits(r)).collect::<Vec<_>>(),
+                batch(&b),
+                "scan_batch"
+            );
+        });
     }
 
     #[test]
@@ -614,7 +466,7 @@ mod tests {
         let (pq_idx, _) = PaseIvfPqIndex::build(opts, ivf, pqp, &bm, &data).unwrap();
         let (flat_idx, _) =
             crate::ivf_flat::PaseIvfFlatIndex::build(opts, ivf, &bm, &data).unwrap();
-        let pq_bytes = bm.disk().relation_bytes(pq_idx.data_rel);
+        let pq_bytes = pq_idx.pages.data_bytes(&bm);
         let flat_bytes = flat_idx.size_bytes(&bm);
         assert!(
             pq_bytes * 3 < flat_bytes,

@@ -23,6 +23,7 @@
 pub mod hnsw;
 pub mod index_am;
 pub mod ivf_flat;
+mod ivf_pages;
 pub mod ivf_pq;
 pub mod options;
 pub mod pgvector;

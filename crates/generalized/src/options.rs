@@ -1,5 +1,6 @@
 //! Generalized-engine configuration: one switch per root cause.
 
+use crate::ivf_pages::ScanScratch;
 use vdb_gemm::GemmKernel;
 use vdb_storage::sync::OrderedMutex;
 use vdb_storage::Result;
@@ -108,15 +109,16 @@ impl GeneralizedOptions {
 
     /// RC#3 for both paged IVF indexes: scan `batch` (per-query context
     /// and probed buckets) over [`threads`](Self::threads) workers with
-    /// `scan(context, bucket, push)` and hand each query's top `k`, in
-    /// order, to `out`. One thread collects with the configured
+    /// `scan(context, bucket, scratch, push)` and hand each query's top
+    /// `k`, in order, to `out`. Each worker's share of a query reuses one
+    /// scratch. One thread collects with the configured
     /// [`topk`](Self::topk) strategy; several merge as
     /// [`parallel`](Self::parallel) says.
     pub(crate) fn probe_search<Q: Sync>(
         &self,
         batch: &[(Q, Vec<usize>)],
         k: usize,
-        scan: impl Fn(&Q, usize, &mut dyn FnMut(u64, f32)) -> Result<()> + Sync,
+        scan: impl Fn(&Q, usize, &mut ScanScratch, &mut dyn FnMut(u64, f32)) -> Result<()> + Sync,
         mut out: impl FnMut(Vec<Neighbor>),
     ) -> Result<()> {
         let threads = self.threads.max(1);
@@ -129,19 +131,22 @@ impl GeneralizedOptions {
             batch,
             k,
             threads,
-            |q| match shared.get(q) {
-                Some(heap) => Sink::Shared(heap),
-                None if threads == 1 => Sink::Own(self.topk.collector(k)),
-                None => Sink::Own(TopKStrategy::SizeK.collector(k)),
+            |q| {
+                let sink = match shared.get(q) {
+                    Some(heap) => Sink::Shared(heap),
+                    None if threads == 1 => Sink::Own(self.topk.collector(k)),
+                    None => Sink::Own(TopKStrategy::SizeK.collector(k)),
+                };
+                (sink, ScanScratch::default())
             },
-            |context, b, sink| scan(context, b, &mut |id, d| sink.push(id, d)),
+            |context, b, (sink, scratch)| scan(context, b, scratch, &mut |id, d| sink.push(id, d)),
             |q, sinks| match shared.get(q) {
                 // Every worker's sink is a handle on this one heap.
                 Some(heap) => {
                     out(std::mem::replace(&mut *heap.lock(), self.topk.collector(k)).into_sorted())
                 }
                 None => {
-                    let own = sinks.filter_map(|sink| match sink {
+                    let own = sinks.filter_map(|(sink, _)| match sink {
                         Sink::Own(collector) => Some(collector),
                         Sink::Shared(_) => None,
                     });

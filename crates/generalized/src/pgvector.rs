@@ -12,6 +12,7 @@
 
 use crate::index_am::PaseIndex;
 use crate::ivf_flat::PaseIvfFlatIndex;
+use crate::ivf_pages::ScanScratch;
 use crate::options::GeneralizedOptions;
 use vdb_profile::{self as profile, Category};
 use vdb_storage::{BufferManager, Result};
@@ -48,10 +49,12 @@ impl PgVectorIvfFlatIndex {
         assert!(k > 0, "k must be positive");
         let probes = self.inner.select_probes(bm, query, nprobe)?;
         let mut all: Vec<Neighbor> = Vec::new();
+        let mut scratch = ScanScratch::default();
         for &b in &probes {
-            self.inner.scan_bucket_into(bm, b, query, &mut |id, d| {
-                all.push(Neighbor::new(id, d));
-            })?;
+            self.inner
+                .scan_bucket_into(bm, b, query, None, &mut scratch, &mut |id, d| {
+                    all.push(Neighbor::new(id, d));
+                })?;
         }
         // The sort node: O(n log n) over every probed tuple.
         let _t = profile::scoped(Category::MinHeap);

@@ -331,6 +331,22 @@ impl Page {
     pub fn items(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (1..=self.item_count()).filter_map(move |off| self.item(off).map(|d| (off, d)))
     }
+
+    /// Live tuples as `(offno, range)`, where `range` locates the tuple
+    /// in [`bytes`](Self::bytes), in storage order: ascending address.
+    ///
+    /// `add_item` places each tuple below the ones before it and
+    /// `compact` slides live tuples up in line-pointer order, so storage
+    /// order is reverse line-pointer order on every page this type
+    /// writes. A scan that reads tuples this way walks the page forward,
+    /// the direction hardware prefetchers follow; [`items`](Self::items)
+    /// walks it backward. Both visit the same tuples; no caller's
+    /// result may depend on which order it gets.
+    pub fn item_ranges(&self) -> impl Iterator<Item = (u16, std::ops::Range<usize>)> + '_ {
+        (1..=self.item_count())
+            .rev()
+            .filter_map(move |off| self.lp(off).map(|(at, len)| (off, at..at + len)))
+    }
 }
 
 fn read_u16(buf: &[u8], at: usize) -> u16 {

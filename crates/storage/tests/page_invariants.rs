@@ -96,3 +96,45 @@ fn prop_from_bytes_and_checksum() {
         assert!(!verify_checksum(&corrupted), "flip at {flip_at} undetected");
     });
 }
+
+/// The storage-order visit (`item_ranges`) over arbitrary
+/// insert/delete/compact interleavings: it yields exactly the live
+/// `(offno, bytes)` items of `items()`, each once, in ascending tuple
+/// offset. `compact` slides live tuples up in line-pointer order, so the
+/// order survives it.
+#[test]
+fn prop_storage_order_visits_live_items_by_ascending_offset() {
+    cases(
+        "prop_storage_order_visits_live_items_by_ascending_offset",
+        256,
+        |rng| {
+            let ops = rng.vec(1..60, random_op);
+            let size = rng.pick(&[PageSize::Size4K, PageSize::Size8K]);
+            let mut page = Page::new(size);
+            let mut live: Vec<u16> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Insert(data) => live.extend(page.add_item(&data)),
+                    Op::Delete(i) => {
+                        if !live.is_empty() {
+                            assert!(page.delete_item(live.remove(i % live.len())));
+                        }
+                    }
+                    Op::Compact => page.compact(),
+                }
+                let visited: Vec<(u16, std::ops::Range<usize>)> = page.item_ranges().collect();
+                assert!(
+                    visited.windows(2).all(|w| w[0].1.end <= w[1].1.start),
+                    "not in ascending, disjoint offsets: {visited:?}"
+                );
+                let mut by_offno: Vec<(u16, &[u8])> = visited
+                    .iter()
+                    .map(|(off, r)| (*off, &page.bytes()[r.clone()]))
+                    .collect();
+                by_offno.sort_by_key(|&(off, _)| off);
+                let items: Vec<(u16, &[u8])> = page.items().collect();
+                assert_eq!(by_offno, items);
+            }
+        },
+    );
+}
