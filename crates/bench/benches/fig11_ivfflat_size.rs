@@ -6,7 +6,7 @@
 
 use vdb_bench::*;
 use vdb_core::generalized::{GeneralizedOptions, PaseIndex};
-use vdb_core::specialized::{SpecializedOptions, VectorIndex};
+use vdb_core::specialized::SpecializedOptions;
 use vdb_core::{ExperimentRecord, Series};
 
 fn main() {

@@ -23,7 +23,7 @@ use vdb_core::datagen::{
 };
 use vdb_core::filter::{FilterStrategy, SelectionBitmap};
 use vdb_core::generalized::{GeneralizedOptions, PaseIndex};
-use vdb_core::specialized::{SpecializedOptions, VectorIndex};
+use vdb_core::specialized::SpecializedOptions;
 use vdb_core::vecmath::Metric;
 use vdb_core::{ExperimentRecord, Series};
 

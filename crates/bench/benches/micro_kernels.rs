@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vdb_core::gemm::{gemm_nt_blocked, gemm_nt_naive};
 use vdb_core::generalized::{GeneralizedOptions, PaseIvfFlatIndex};
+use vdb_core::specialized::{IvfFlatIndex, SpecializedOptions};
 use vdb_core::storage::{BufferManager, DiskManager, PageSize};
 use vdb_core::vecmath::distance::{l2_sqr_ref, l2_sqr_unrolled};
 use vdb_core::vecmath::pq::train_default;
@@ -158,9 +159,10 @@ fn gemm_nt() {
 /// RC#2's residual: one resident IVF_FLAT bucket of 8,192 rows at
 /// d = 128 (a one-cluster index probed with `nprobe` 1) read through
 /// the buffer pool (pin, line pointers, page-by-page kernel) against
-/// the same rows read from the RC#2 cache, with each kernel. Both arms
-/// run the whole search with a size-k heap, so the difference is the
-/// page path.
+/// the same rows read from the RC#2 cache and from the specialized
+/// index, with each kernel. Every arm runs the whole search with a
+/// size-k heap, so the difference is the page path; the cache and
+/// specialized arms run the same resident scan.
 fn paged_scan() {
     let (n, d) = (8192usize, 128usize);
     let data = VectorSet::from_flat(d, random(n * d, 8));
@@ -186,6 +188,15 @@ fn paged_scan() {
                 index.search_with_nprobe(&bm, &query, 10, 1)
             });
         }
+        let opts = SpecializedOptions {
+            distance,
+            ..SpecializedOptions::default()
+        };
+        let (index, _) = IvfFlatIndex::build(opts, params, &data);
+        let label = format!("specialized/{distance:?}").to_lowercase();
+        bench("paged_scan", &label, n, || {
+            index.search_with_nprobe(&query, 10, 1)
+        });
     }
 }
 

@@ -443,7 +443,10 @@ mod tests {
         tile16(3, kc, &a, k, i0, p0, &bp, ncp, jj, &mut fast);
         tile16_scalar(3, kc, &a, k, i0, p0, &bp, ncp, jj, &mut slow);
         for (i, (x, y)) in fast.iter().zip(&slow).enumerate().take(3 * NR) {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "lane {i}: {x} vs {y}");
+            assert!(
+                (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
+                "lane {i}: {x} vs {y}"
+            );
         }
     }
 }

@@ -55,6 +55,8 @@ pub(crate) struct ScanScratch {
     tuples: Vec<Range<usize>>,
     /// `(id, distance)` of the scored tuples, not yet pushed.
     scored: Vec<(u64, f32)>,
+    /// One resident bucket's distances, in row order.
+    pub(crate) distances: Vec<f32>,
 }
 
 impl ScanScratch {
@@ -180,11 +182,7 @@ impl IvfPages {
         nprobe: usize,
     ) -> Result<Vec<usize>> {
         if opts.memory_optimized {
-            return Ok(quantizer
-                .nearest_n(opts.distance, query, nprobe)
-                .into_iter()
-                .map(|(b, _)| b)
-                .collect());
+            return Ok(opts.quantizer_probes(quantizer, query, nprobe));
         }
         let mut dists: Vec<(usize, f32)> = Vec::with_capacity(self.chains.len());
         for blk in 0..bm.disk().nblocks(self.centroid_rel) as u32 {

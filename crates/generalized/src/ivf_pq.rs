@@ -16,7 +16,8 @@ use vdb_storage::heap::as_bytes_f32;
 use vdb_storage::{BufferManager, RelId, Result};
 use vdb_vecmath::sampling::sample_indices;
 use vdb_vecmath::{
-    BuildTiming, IvfParams, Kmeans, KmeansParams, Neighbor, PqParams, ProductQuantizer, VectorSet,
+    BuildTiming, IvfParams, Kmeans, KmeansParams, Neighbor, PqParams, ProductQuantizer, TopKSink,
+    VectorSet,
 };
 
 /// RC#2 fix: direct-array mirror of one bucket's codes.
@@ -206,7 +207,9 @@ impl PaseIvfPqIndex {
         self.opts.probe_search(
             &[(table, probes)],
             k,
-            |table, b, scratch, push| self.scan_bucket_into(bm, b, table, scratch, push),
+            |table, b, scratch, sink| {
+                self.scan_bucket_into(bm, b, table, scratch, &mut |id, d| sink.push(id, d))
+            },
             |r| out = r,
         )?;
         Ok(out)
@@ -232,7 +235,9 @@ impl PaseIvfPqIndex {
         self.opts.probe_search(
             &batch,
             k,
-            |table, b, scratch, push| self.scan_bucket_into(bm, b, table, scratch, push),
+            |table, b, scratch, sink| {
+                self.scan_bucket_into(bm, b, table, scratch, &mut |id, d| sink.push(id, d))
+            },
             |r| out.push(r),
         )?;
         Ok(out)

@@ -3,10 +3,10 @@
 use crate::ivf_pages::ScanScratch;
 use vdb_gemm::GemmKernel;
 use vdb_storage::sync::OrderedMutex;
-use vdb_storage::Result;
 use vdb_vecmath::parallel::probe_scan;
 use vdb_vecmath::{
-    DistanceKernel, KmeansFlavor, Metric, Neighbor, PqTableMode, TopKCollector, TopKStrategy,
+    DistanceKernel, Kmeans, KmeansFlavor, Metric, Neighbor, PqTableMode, TopKCollector, TopKSink,
+    TopKStrategy,
 };
 
 /// How a parallel search combines per-thread results (RC#3).
@@ -57,9 +57,10 @@ pub struct GeneralizedOptions {
     pub pq_table: PqTableMode,
     /// RC#3: parallel-search merge strategy.
     pub parallel: ParallelMode,
-    /// Worker threads for search (PASE builds are always serial — the
-    /// paper notes PASE "does not support parallelism for index
-    /// construction").
+    /// Worker threads for search, and for the IVF_FLAT adding phase when
+    /// [`parallel`](Self::parallel) is the fixed `LocalHeapMerge` (PASE
+    /// builds are always serial — the paper notes PASE "does not support
+    /// parallelism for index construction").
     pub threads: usize,
     /// RC#2: cache vectors/adjacency in direct arrays after build,
     /// bypassing the buffer manager (the "memory-optimized table
@@ -107,20 +108,35 @@ impl GeneralizedOptions {
         }
     }
 
-    /// RC#3 for both paged IVF indexes: scan `batch` (per-query context
-    /// and probed buckets) over [`threads`](Self::threads) workers with
-    /// `scan(context, bucket, scratch, push)` and hand each query's top
-    /// `k`, in order, to `out`. Each worker's share of a query reuses one
-    /// scratch. One thread collects with the configured
-    /// [`topk`](Self::topk) strategy; several merge as
-    /// [`parallel`](Self::parallel) says.
-    pub(crate) fn probe_search<Q: Sync>(
+    /// The `nprobe` buckets of the in-memory `quantizer` nearest `query`,
+    /// best first (probe selection with the RC#2 fix: no centroid pages).
+    pub(crate) fn quantizer_probes(
+        &self,
+        quantizer: &Kmeans,
+        query: &[f32],
+        nprobe: usize,
+    ) -> Vec<usize> {
+        quantizer
+            .nearest_n(self.distance, query, nprobe)
+            .into_iter()
+            .map(|(b, _)| b)
+            .collect()
+    }
+
+    /// RC#3 for every IVF index built on these options: scan `batch`
+    /// (per-query context and probed buckets) over
+    /// [`threads`](Self::threads) workers with `scan(context, bucket,
+    /// scratch, sink)` and hand each query's top `k`, in order, to `out`.
+    /// Each worker's share of a query reuses one scratch. One thread
+    /// collects with the configured [`topk`](Self::topk) strategy;
+    /// several merge as [`parallel`](Self::parallel) says.
+    pub(crate) fn probe_search<Q: Sync, E: Send>(
         &self,
         batch: &[(Q, Vec<usize>)],
         k: usize,
-        scan: impl Fn(&Q, usize, &mut ScanScratch, &mut dyn FnMut(u64, f32)) -> Result<()> + Sync,
+        scan: impl Fn(&Q, usize, &mut ScanScratch, &mut Sink<'_>) -> Result<(), E> + Sync,
         mut out: impl FnMut(Vec<Neighbor>),
-    ) -> Result<()> {
+    ) -> Result<(), E> {
         let threads = self.threads.max(1);
         // PASE's heaps, one per query, only when several threads share them.
         let locked = threads > 1 && self.parallel == ParallelMode::GlobalLockedHeap;
@@ -139,7 +155,7 @@ impl GeneralizedOptions {
                 };
                 (sink, ScanScratch::default())
             },
-            |context, b, (sink, scratch)| scan(context, b, scratch, &mut |id, d| sink.push(id, d)),
+            |context, b, (sink, scratch)| scan(context, b, scratch, sink),
             |q, sinks| match shared.get(q) {
                 // Every worker's sink is a handle on this one heap.
                 Some(heap) => {
@@ -162,7 +178,7 @@ impl GeneralizedOptions {
 }
 
 /// Where one probe-scan worker pushes its candidates (RC#3).
-enum Sink<'a> {
+pub(crate) enum Sink<'a> {
     /// A collector of its own: the whole query's when one thread scans
     /// it, else a size-k local heap merged at the end
     /// ([`ParallelMode::LocalHeapMerge`]).
@@ -172,7 +188,17 @@ enum Sink<'a> {
     Shared(&'a OrderedMutex<TopKCollector>),
 }
 
-impl Sink<'_> {
+impl TopKSink for Sink<'_> {
+    /// The collector's own threshold; a shared heap never prunes, so
+    /// every candidate still takes the lock.
+    #[inline]
+    fn threshold(&self) -> f32 {
+        match self {
+            Sink::Own(collector) => collector.threshold(),
+            Sink::Shared(_) => f32::INFINITY,
+        }
+    }
+
     #[inline]
     fn push(&mut self, id: u64, distance: f32) {
         match self {

@@ -16,7 +16,7 @@ use crate::ivf_pages::ScanScratch;
 use crate::options::GeneralizedOptions;
 use vdb_profile::{self as profile, Category};
 use vdb_storage::{BufferManager, Result};
-use vdb_vecmath::{BuildTiming, IvfParams, Neighbor, VectorSet};
+use vdb_vecmath::{BuildTiming, IvfParams, Neighbor, TopKSink, VectorSet};
 
 /// The pgvector-flavor index: PASE pages, sort-node execution.
 pub struct PgVectorIvfFlatIndex {
@@ -47,20 +47,32 @@ impl PgVectorIvfFlatIndex {
         nprobe: usize,
     ) -> Result<Vec<Neighbor>> {
         assert!(k > 0, "k must be positive");
-        let probes = self.inner.select_probes(bm, query, nprobe)?;
-        let mut all: Vec<Neighbor> = Vec::new();
+        let rows = self.inner.rows(bm);
+        let mut all = SortInput(Vec::new());
         let mut scratch = ScanScratch::default();
-        for &b in &probes {
+        for b in self.inner.probes(rows, query, nprobe)? {
             self.inner
-                .scan_bucket_into(bm, b, query, None, &mut scratch, &mut |id, d| {
-                    all.push(Neighbor::new(id, d));
-                })?;
+                .scan_bucket(rows, query, b, None, &mut scratch, &mut all)?;
         }
         // The sort node: O(n log n) over every probed tuple.
         let _t = profile::scoped(Category::MinHeap);
+        let SortInput(mut all) = all;
         all.sort_unstable();
         all.truncate(k);
         Ok(all)
+    }
+}
+
+/// The sort node's input: every probed tuple, none pruned.
+struct SortInput(Vec<Neighbor>);
+
+impl TopKSink for SortInput {
+    fn threshold(&self) -> f32 {
+        f32::INFINITY
+    }
+
+    fn push(&mut self, id: u64, distance: f32) {
+        self.0.push(Neighbor::new(id, distance));
     }
 }
 

@@ -476,8 +476,7 @@ mod tests {
                 &mut heaps,
                 &mut BatchScratch::new(),
             );
-            let cached: Vec<Vec<Neighbor>> =
-                heaps.into_iter().map(KHeap::into_sorted).collect();
+            let cached: Vec<Vec<Neighbor>> = heaps.into_iter().map(KHeap::into_sorted).collect();
             assert_eq!(serial, cached, "batch size {q}");
         }
     }

@@ -90,10 +90,13 @@ impl BatchScheduler {
         BatchScheduler {
             cfg,
             dim,
-            queue: OrderedMutex::new(LockClass::ServeQueue, Queue {
-                pending: Vec::new(),
-                leader_active: false,
-            }),
+            queue: OrderedMutex::new(
+                LockClass::ServeQueue,
+                Queue {
+                    pending: Vec::new(),
+                    leader_active: false,
+                },
+            ),
             batches: AtomicU64::new(0),
             queries: AtomicU64::new(0),
         }
@@ -230,7 +233,8 @@ impl BatchScheduler {
         // RELAXED-OK: monotonic stats counters, never synchronized on.
         self.batches.fetch_add(1, Ordering::Relaxed);
         // RELAXED-OK: monotonic stats counters, never synchronized on.
-        self.queries.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        self.queries
+            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
         match exec(&queries, &ks, knob) {
             Ok(results) if results.len() == chunk.len() => {
                 for (p, res) in chunk.into_iter().zip(results) {
@@ -284,11 +288,23 @@ mod tests {
 
     #[test]
     fn single_submit_round_trips() {
-        let s = BatchScheduler::new(BatchConfig { max_batch: 4, max_wait_us: 0 }, 2);
+        let s = BatchScheduler::new(
+            BatchConfig {
+                max_batch: 4,
+                max_wait_us: 0,
+            },
+            2,
+        );
         let res = s.submit(vec![3.0, 0.0], 2, Some(5), toy_exec).unwrap();
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].distance, 8.0);
-        assert_eq!(s.stats(), SchedulerStats { batches: 1, queries: 1 });
+        assert_eq!(
+            s.stats(),
+            SchedulerStats {
+                batches: 1,
+                queries: 1
+            }
+        );
     }
 
     #[test]
@@ -306,7 +322,10 @@ mod tests {
         // every thread must get its own k-sized result back.
         let n = 8;
         let s = Arc::new(BatchScheduler::new(
-            BatchConfig { max_batch: n, max_wait_us: 200_000 },
+            BatchConfig {
+                max_batch: n,
+                max_wait_us: 200_000,
+            },
             2,
         ));
         let barrier = Arc::new(Barrier::new(n));
@@ -343,7 +362,10 @@ mod tests {
     fn mixed_knobs_split_into_homogeneous_batches() {
         let n = 6;
         let s = Arc::new(BatchScheduler::new(
-            BatchConfig { max_batch: n, max_wait_us: 100_000 },
+            BatchConfig {
+                max_batch: n,
+                max_wait_us: 100_000,
+            },
             1,
         ));
         let barrier = Arc::new(Barrier::new(n));
@@ -379,7 +401,10 @@ mod tests {
         // the leader drains beyond 2 must be split into ≤2-query
         // executor calls.
         let s = Arc::new(BatchScheduler::new(
-            BatchConfig { max_batch: 2, max_wait_us: 50_000 },
+            BatchConfig {
+                max_batch: 2,
+                max_wait_us: 50_000,
+            },
             1,
         ));
         let n = 5;
@@ -409,7 +434,10 @@ mod tests {
     #[test]
     fn executor_errors_reach_every_waiter() {
         let s = Arc::new(BatchScheduler::new(
-            BatchConfig { max_batch: 4, max_wait_us: 50_000 },
+            BatchConfig {
+                max_batch: 4,
+                max_wait_us: 50_000,
+            },
             1,
         ));
         let n = 4;
@@ -421,7 +449,9 @@ mod tests {
                 scope.spawn(move || {
                     barrier.wait();
                     let err = s
-                        .submit(vec![t as f32], 1, None, |_, _, _| Err("engine exploded".into()))
+                        .submit(vec![t as f32], 1, None, |_, _, _| {
+                            Err("engine exploded".into())
+                        })
                         .unwrap_err();
                     assert!(err.contains("engine exploded"));
                 });
@@ -431,7 +461,13 @@ mod tests {
 
     #[test]
     fn arity_mismatch_is_an_error_not_a_misdelivery() {
-        let s = BatchScheduler::new(BatchConfig { max_batch: 2, max_wait_us: 0 }, 1);
+        let s = BatchScheduler::new(
+            BatchConfig {
+                max_batch: 2,
+                max_wait_us: 0,
+            },
+            1,
+        );
         let err = s
             .submit(vec![1.0], 1, None, |_, _, _| Ok(vec![]))
             .unwrap_err();

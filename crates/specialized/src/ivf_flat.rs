@@ -1,339 +1,39 @@
-//! IVF_FLAT (Faiss's `IndexIVFFlat`).
+//! IVF_FLAT (Faiss's `IndexIVFFlat`): the one IVF_FLAT core,
+//! [`vdb_generalized::ivf_flat::IvfFlat`], over resident buckets with
+//! every root-cause fix on (see [`crate::SpecializedOptions`]'s
+//! conversion).
 //!
 //! Training clusters a sample into `c` centroids; adding assigns every
 //! vector to its nearest centroid via batched GEMM distance tables
-//! (RC#1); search probes the `nprobe` nearest buckets and scans their raw
-//! vectors into a size-k heap (RC#6), optionally one bucket-partition per
-//! thread with local heaps merged at the end (RC#3).
+//! (RC#1), sharded over `threads`; search probes the `nprobe` nearest
+//! buckets and scans their raw vectors into a size-k heap (RC#6),
+//! optionally one bucket-partition per thread with local heaps merged at
+//! the end (RC#3).
 
-use crate::options::{BuildTiming, IvfParams, SpecializedOptions};
 use crate::VectorIndex;
-use std::sync::OnceLock;
-use std::time::Instant;
 use vdb_filter::{FilterStrategy, SelectionBitmap};
-use vdb_profile::{self as profile, Category};
-use vdb_serve::{scan_block_cached, BatchScratch, QueryBlock, RowBlock};
-use vdb_vecmath::parallel::map_chunks;
-use vdb_vecmath::sampling::sample_indices;
-use vdb_vecmath::{simd, KHeap, Kmeans, KmeansParams, Metric, Neighbor, TopKCollector, VectorSet};
-
-/// One inverted list: parallel arrays of ids and vectors, plus a lazy
-/// serving cache (packed GEMM panels + row norms) built on first
-/// batched access and invalidated whenever the list mutates. The cache
-/// never affects results — it holds a repack of the same vectors, and
-/// the batched scan re-ranks every survivor with the exact kernel.
-struct Bucket {
-    ids: Vec<u64>,
-    vectors: VectorSet,
-    serve_cache: OnceLock<RowBlock>,
-}
+use vdb_generalized::ivf_flat::{IvfFlat, Resident};
+use vdb_vecmath::Neighbor;
 
 /// The IVF_FLAT index.
-pub struct IvfFlatIndex {
-    opts: SpecializedOptions,
-    params: IvfParams,
-    quantizer: Kmeans,
-    buckets: Vec<Bucket>,
-    len: usize,
-}
-
-impl IvfFlatIndex {
-    /// Train on a sample of `data`, then add all of `data`.
-    ///
-    /// Returns the index and the train/add wall-clock split the paper's
-    /// Figure 3 reports.
-    pub fn build(
-        opts: SpecializedOptions,
-        params: IvfParams,
-        data: &VectorSet,
-    ) -> (IvfFlatIndex, BuildTiming) {
-        assert!(!data.is_empty(), "cannot build IVF_FLAT over no vectors");
-        let t0 = Instant::now();
-        let quantizer = train_quantizer(&opts, &params, data);
-        let train = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mut index = IvfFlatIndex::empty(opts, params, quantizer);
-        index.add_all(data);
-        let add = t1.elapsed();
-
-        (index, BuildTiming { train, add })
-    }
-
-    /// Build with externally supplied centroids — the paper's Faiss*
-    /// experiment (Figure 15), which transplants PASE's centroids to
-    /// isolate RC#5.
-    pub fn with_centroids(
-        opts: SpecializedOptions,
-        params: IvfParams,
-        centroids: VectorSet,
-        data: &VectorSet,
-    ) -> (IvfFlatIndex, BuildTiming) {
-        let quantizer = Kmeans::from_centroids(opts.kmeans, centroids);
-        let t1 = Instant::now();
-        let mut index = IvfFlatIndex::empty(opts, params, quantizer);
-        index.add_all(data);
-        let add = t1.elapsed();
-        (
-            index,
-            BuildTiming {
-                train: Default::default(),
-                add,
-            },
-        )
-    }
-
-    fn empty(opts: SpecializedOptions, params: IvfParams, quantizer: Kmeans) -> IvfFlatIndex {
-        let k = quantizer.k();
-        let d = quantizer.dim();
-        let buckets = (0..k)
-            .map(|_| Bucket {
-                ids: Vec::new(),
-                vectors: VectorSet::empty(d),
-                serve_cache: OnceLock::new(),
-            })
-            .collect();
-        IvfFlatIndex {
-            opts,
-            params,
-            quantizer,
-            buckets,
-            len: 0,
-        }
-    }
-
-    /// The adding phase: batched assignment (RC#1), optionally sharded
-    /// over threads (RC#3), then bucket inserts.
-    fn add_all(&mut self, data: &VectorSet) {
-        let _t = profile::scoped(Category::IvfAdd);
-        let assignments: Vec<u32> = if self.opts.threads <= 1 {
-            self.quantizer.assign_batch(self.opts.gemm, data)
-        } else {
-            let d = data.dim();
-            let per_chunk = map_chunks(data.len(), self.opts.threads, |r| {
-                // Borrowed range of the flat matrix — no per-chunk copy.
-                self.quantizer.assign_batch_flat(
-                    self.opts.gemm,
-                    d,
-                    &data.as_flat()[r.start * d..r.end * d],
-                )
-            });
-            per_chunk.concat()
-        };
-        for (i, &a) in assignments.iter().enumerate() {
-            let bucket = &mut self.buckets[a as usize];
-            bucket.ids.push(self.len as u64 + i as u64);
-            bucket.vectors.push(data.row(i));
-            bucket.serve_cache.take();
-        }
-        self.len += data.len();
-    }
-
-    /// Insert one vector; its id is its insertion order, matching
-    /// [`IvfFlatIndex::add_all`]'s numbering so batch-built and
-    /// streamed indexes agree. Assignment uses the scalar
-    /// nearest-centroid kernel (no batching for a single row).
-    pub fn insert(&mut self, v: &[f32]) -> u64 {
-        let _t = profile::scoped(Category::IvfAdd);
-        let id = self.len as u64;
-        let (a, _) = self.quantizer.nearest(self.opts.distance, v);
-        let bucket = &mut self.buckets[a];
-        bucket.ids.push(id);
-        bucket.vectors.push(v);
-        // The packed serving cache describes the pre-insert vectors.
-        bucket.serve_cache.take();
-        self.len += 1;
-        id
-    }
-
-    /// The trained coarse quantizer (e.g. to transplant centroids into
-    /// the other engine).
-    pub fn quantizer(&self) -> &Kmeans {
-        &self.quantizer
-    }
-
-    /// The build-time `nprobe` that [`VectorIndex::search`] uses when no
-    /// per-query knob is supplied.
-    pub fn default_nprobe(&self) -> usize {
-        self.params.nprobe
-    }
-
-    /// Per-bucket occupancy (for inspecting clustering balance).
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.iter().map(|b| b.ids.len()).collect()
-    }
-
-    /// Search with an explicit `nprobe`, overriding the configured one.
-    pub fn search_with_nprobe(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.quantizer.dim(), "dimension mismatch");
-        let probes = self.opts.probes(&self.quantizer, query, nprobe);
-        let mut out = Vec::new();
-        self.opts.probe_search(
-            &[(query, probes)],
-            k,
-            |q, b, sink, scratch| self.scan_bucket_into(q, b, sink, scratch),
-            |r| out = r,
-        );
-        out
-    }
-
-    /// Batch search: one round per query over a persistent worker pool.
-    /// This is the intra-query parallelism of the paper's Figure 18 —
-    /// per-thread local heaps over a probe partition, merged lock-free —
-    /// without paying a thread spawn per query.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, nprobe: usize) -> Vec<Vec<Neighbor>> {
-        let batch: Vec<(&[f32], Vec<usize>)> = queries
-            .iter()
-            .map(|q| (q, self.opts.probes(&self.quantizer, q, nprobe)))
-            .collect();
-        let mut out = Vec::with_capacity(batch.len());
-        self.opts.probe_search(
-            &batch,
-            k,
-            |q, b, sink, scratch| self.scan_bucket_into(q, b, sink, scratch),
-            |r| out.push(r),
-        );
-        out
-    }
-
-    /// Fused scan of bucket `b`'s raw vectors (see
-    /// [`vdb_vecmath::simd::scan_into`]).
-    fn scan_bucket_into(
-        &self,
-        query: &[f32],
-        b: usize,
-        sink: &mut TopKCollector,
-        scratch: &mut Vec<f32>,
-    ) {
-        let bucket = &self.buckets[b];
-        simd::scan_into(
-            self.opts.metric,
-            self.opts.distance,
-            query,
-            &bucket.vectors,
-            Some(&bucket.ids),
-            sink,
-            scratch,
-        );
-    }
-
-    /// Batched serving (RC#1 on the read path, `vdb-serve`): evaluate a
-    /// whole query batch with per-query `k`, probing each query's
-    /// `nprobe` nearest buckets but scanning every bucket *once* for
-    /// all of its active queries via a `Q×B` GEMM distance table plus
-    /// exact re-rank. Each bucket's GEMM panels and row norms are
-    /// packed once on first batched access and cached until the bucket
-    /// mutates ([`vdb_serve::RowBlock`]).
-    ///
-    /// Bit-for-bit identical to calling
-    /// [`IvfFlatIndex::search_with_nprobe`] per query: probe selection
-    /// is the same quantizer call, the exact re-rank uses the same
-    /// per-pair kernel, and the GEMM table only excludes pairs that
-    /// cannot enter a heap (see `vdb_serve::batch`). Non-L2 metrics
-    /// fall back to the serial path — the distance table is squared L2.
-    pub fn search_batch_gemm(
-        &self,
-        queries: &VectorSet,
-        ks: &[usize],
-        nprobe: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        if !matches!(self.opts.metric, Metric::L2) || queries.len() != ks.len() {
-            return queries
-                .iter()
-                .zip(ks)
-                .map(|(q, &k)| self.search_with_nprobe(q, k, nprobe))
-                .collect();
-        }
-        let qb = QueryBlock::pack(queries);
-        let mut heaps: Vec<KHeap> = ks.iter().map(|&k| KHeap::new(k)).collect();
-        // Invert per-query probe lists into per-bucket active-query
-        // lists so each bucket's memory is walked once per batch.
-        // `min_rank[b]` remembers the best probe rank any query gave
-        // bucket `b`; visiting buckets in that order approximates every
-        // query's own closest-first order, so heaps fill with good
-        // candidates early and the table prune rejects most of the
-        // later buckets' rows. Visit order cannot change results — the
-        // prune only excludes rows that cannot enter a heap, and heap
-        // contents are insertion-order independent.
-        let mut active: Vec<Vec<usize>> = vec![Vec::new(); self.buckets.len()];
-        let mut min_rank: Vec<usize> = vec![usize::MAX; self.buckets.len()];
-        let mut order: Vec<usize> = Vec::new();
-        {
-            let _t = profile::scoped(Category::BatchAssembly);
-            for (qi, q) in queries.iter().enumerate() {
-                for (rank, (b, _)) in self
-                    .quantizer
-                    .nearest_n(self.opts.distance, q, nprobe)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if active[b].is_empty() {
-                        order.push(b);
-                    }
-                    active[b].push(qi);
-                    min_rank[b] = min_rank[b].min(rank);
-                }
-            }
-            order.sort_unstable_by_key(|&b| min_rank[b]);
-        }
-        let mut exact =
-            |q: &[f32], row: &[f32]| self.opts.metric.distance_with(self.opts.distance, q, row);
-        let d = self.quantizer.dim();
-        let mut scratch = BatchScratch::new();
-        for &b in &order {
-            let bucket = &self.buckets[b];
-            // Packed panels + norms amortize across every batch that
-            // probes this bucket (rebuilt lazily after a mutation).
-            let block = bucket
-                .serve_cache
-                .get_or_init(|| RowBlock::build(bucket.vectors.as_flat(), d));
-            scan_block_cached(
-                &qb,
-                &active[b],
-                block,
-                bucket.vectors.as_flat(),
-                &bucket.ids,
-                &mut exact,
-                &mut heaps,
-                &mut scratch,
-            );
-        }
-        heaps.into_iter().map(KHeap::into_sorted).collect()
-    }
-}
+pub type IvfFlatIndex = IvfFlat<Resident>;
 
 impl VectorIndex for IvfFlatIndex {
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_with_nprobe(query, k, self.params.nprobe)
+        self.search_with_nprobe(query, k, self.default_nprobe())
     }
 
     fn len(&self) -> usize {
-        self.len
+        IvfFlat::len(self)
     }
 
-    /// Centroids plus per-bucket ids and raw vectors — the flat memory
-    /// layout whose size Figure 11 shows matching PASE's paged layout.
     fn size_bytes(&self) -> usize {
-        let centroid = std::mem::size_of_val(self.quantizer.centroids().as_flat());
-        let data: usize = self
-            .buckets
-            .iter()
-            .map(|b| {
-                std::mem::size_of_val(b.vectors.as_flat())
-                    + b.ids.len() * std::mem::size_of::<u64>()
-            })
-            .sum();
-        centroid + data
+        IvfFlat::size_bytes(self)
     }
 
-    /// Only bitmap-passing entries enter the heap, qualified before
-    /// their distance is computed. Pre-filter ignores the coarse
-    /// quantizer and scans every inverted list — exact under the
-    /// filter, cost proportional to the passing count plus one pass over
-    /// the ids. Post-filter scans the `nprobe` probed lists once: that
-    /// returns exactly what re-searching them with a growing `k'` would,
-    /// because the candidate set does not grow with `k'` and under
-    /// [`Neighbor`]'s total order both keep its first k passing entries.
+    /// Only bitmap-passing entries are scored: pre-filter scans every
+    /// inverted list (exact under the filter), post-filter the `nprobe`
+    /// probed lists once.
     fn search_filtered(
         &self,
         query: &[f32],
@@ -341,60 +41,17 @@ impl VectorIndex for IvfFlatIndex {
         filter: &SelectionBitmap,
         strategy: FilterStrategy,
     ) -> Vec<Neighbor> {
-        if k == 0 || filter.is_empty() {
-            return Vec::new();
-        }
-        let lists: Vec<usize> = match strategy {
-            FilterStrategy::PreFilter => (0..self.buckets.len()).collect(),
-            FilterStrategy::PostFilter => {
-                self.opts.probes(&self.quantizer, query, self.params.nprobe)
-            }
-        };
-        let mut collector = self.opts.topk.collector(k);
-        for b in lists {
-            let bucket = &self.buckets[b];
-            for (i, &id) in bucket.ids.iter().enumerate() {
-                let passes = {
-                    let _t = profile::scoped(Category::FilterEval);
-                    filter.contains(id)
-                };
-                if passes {
-                    collector.push(
-                        id,
-                        self.opts.metric.distance_with(
-                            self.opts.distance,
-                            query,
-                            bucket.vectors.row(i),
-                        ),
-                    );
-                }
-            }
-        }
-        collector.into_sorted()
+        IvfFlat::search_filtered(self, query, k, filter, strategy)
     }
-}
-
-fn train_quantizer(opts: &SpecializedOptions, params: &IvfParams, data: &VectorSet) -> Kmeans {
-    // Sample at least enough points to give every cluster a seed.
-    let idx = sample_indices(data.len(), params.sample_ratio, params.clusters, opts.seed);
-    let sample = data.gather(&idx);
-    Kmeans::train(
-        opts.kmeans,
-        &sample,
-        &KmeansParams {
-            k: params.clusters,
-            iters: opts.kmeans_iters,
-            seed: opts.seed,
-            gemm: opts.gemm,
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use crate::options::{IvfParams, SpecializedOptions};
     use vdb_datagen::gaussian::generate;
+    use vdb_vecmath::VectorSet;
 
     fn small_params() -> IvfParams {
         IvfParams {
@@ -419,25 +76,14 @@ mod tests {
     }
 
     #[test]
-    fn full_probe_matches_flat_exactly() {
-        let data = dataset();
-        let opts = SpecializedOptions::default();
-        let (idx, _) = IvfFlatIndex::build(opts, small_params(), &data);
-        let flat = FlatIndex::new(opts, data.clone());
-        for qi in [0usize, 5, 99] {
-            let q = data.row(qi);
-            let approx = idx.search_with_nprobe(q, 10, idx.quantizer().k());
-            let exact = flat.search(q, 10);
-            assert_eq!(approx, exact, "query {qi}");
-        }
-    }
-
-    #[test]
     fn streamed_inserts_match_batch_build_under_full_probe() {
         let data = dataset();
         let opts = SpecializedOptions::default();
         let (batch, _) = IvfFlatIndex::build(opts, small_params(), &data);
-        let mut streamed = IvfFlatIndex::empty(opts, small_params(), batch.quantizer().clone());
+        let centroids = batch.quantizer().centroids().clone();
+        let empty = VectorSet::empty(data.dim());
+        let (mut streamed, _) =
+            IvfFlatIndex::with_centroids(opts, small_params(), centroids, &empty);
         for (i, v) in data.iter().enumerate() {
             assert_eq!(streamed.insert(v), i as u64);
         }
@@ -484,22 +130,6 @@ mod tests {
         let (a, _) = IvfFlatIndex::build(serial, small_params(), &data);
         let (b, _) = IvfFlatIndex::build(parallel, small_params(), &data);
         assert_eq!(a.bucket_sizes(), b.bucket_sizes());
-    }
-
-    #[test]
-    fn transplanted_centroids_reproduce_buckets() {
-        let data = dataset();
-        let opts = SpecializedOptions::default();
-        let (orig, _) = IvfFlatIndex::build(opts, small_params(), &data);
-        let (copy, _) = IvfFlatIndex::with_centroids(
-            opts,
-            small_params(),
-            orig.quantizer().centroids().clone(),
-            &data,
-        );
-        assert_eq!(orig.bucket_sizes(), copy.bucket_sizes());
-        let q = data.row(11);
-        assert_eq!(orig.search(q, 5), copy.search(q, 5));
     }
 
     #[test]

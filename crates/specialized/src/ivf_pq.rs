@@ -13,7 +13,7 @@ use vdb_profile::{self as profile, Category};
 use vdb_vecmath::parallel::map_chunks;
 use vdb_vecmath::sampling::sample_indices;
 use vdb_vecmath::{
-    Kmeans, KmeansParams, Neighbor, PqTableMode, ProductQuantizer, TopKSink, VectorSet,
+    simd, Kmeans, KmeansParams, Neighbor, PqTableMode, ProductQuantizer, TopKSink, VectorSet,
 };
 
 /// One inverted list of `(id, code)` entries; codes are concatenated.
@@ -238,15 +238,7 @@ impl IvfPqIndex {
             scratch.resize(n, 0.0);
             self.pq.adc_distance_batch(table, &bucket.codes, scratch);
         }
-        let _h = profile::scoped(Category::MinHeap);
-        profile::count(Category::MinHeap, n as u64);
-        let mut thr = sink.threshold();
-        for (i, &dist) in scratch.iter().enumerate() {
-            if dist < thr {
-                sink.push(bucket.ids[i], dist);
-                thr = sink.threshold();
-            }
-        }
+        simd::offer_scanned(sink, scratch, Some(&bucket.ids));
     }
 }
 

@@ -14,7 +14,7 @@ use vdb_profile::{self as profile, Category};
 use vdb_vecmath::parallel::map_chunks;
 use vdb_vecmath::sampling::sample_indices;
 use vdb_vecmath::sq::ScalarQuantizer;
-use vdb_vecmath::{Kmeans, KmeansParams, Neighbor, TopKSink, VectorSet};
+use vdb_vecmath::{simd, Kmeans, KmeansParams, Neighbor, TopKSink, VectorSet};
 
 /// One inverted list of `(id, sq8-code)` entries.
 struct Sq8Bucket {
@@ -163,15 +163,7 @@ impl IvfSq8Index {
             scratch.resize(n, 0.0);
             self.sq.asym_l2_sqr_batch(query, &bucket.codes, scratch);
         }
-        let _h = profile::scoped(Category::MinHeap);
-        profile::count(Category::MinHeap, n as u64);
-        let mut thr = sink.threshold();
-        for (i, &dist) in scratch.iter().enumerate() {
-            if dist < thr {
-                sink.push(bucket.ids[i], dist);
-                thr = sink.threshold();
-            }
-        }
+        simd::offer_scanned(sink, scratch, Some(&bucket.ids));
     }
 }
 

@@ -1,8 +1,12 @@
 //! The specialized vector engine — this repository's Faiss.
 //!
 //! A purpose-built, in-memory vector search library: vectors live in flat
-//! arrays addressed by integer id, with no pages, no buffer manager and
-//! no tuple indirection. Where the paper credits Faiss with a specific
+//! arrays addressed by integer id, and no search reads a page, takes a
+//! buffer pin or follows a tuple pointer. [`IvfFlatIndex`] is the
+//! generalized engine's IVF_FLAT core ([`vdb_generalized::ivf_flat`])
+//! over resident buckets with every root-cause fix on, so this crate
+//! depends on `vdb-generalized`, but its IVF_FLAT never touches the
+//! storage layer. Where the paper credits Faiss with a specific
 //! optimization, this engine implements it and exposes the switch:
 //!
 //! * **RC#1** — the IVF adding phase assigns vectors to centroids with a

@@ -9,6 +9,7 @@ pub use vdb_vecmath::params::{BuildTiming, HnswParams, IvfParams, PqParams};
 
 use std::convert::Infallible;
 use vdb_gemm::GemmKernel;
+use vdb_generalized::GeneralizedOptions;
 use vdb_vecmath::parallel::probe_scan;
 use vdb_vecmath::{
     DistanceKernel, Kmeans, KmeansFlavor, Metric, Neighbor, TopKCollector, TopKStrategy,
@@ -47,6 +48,25 @@ impl Default for SpecializedOptions {
             kmeans_iters: 10,
             threads: 1,
             seed: 42,
+        }
+    }
+}
+
+/// The IVF_FLAT core's options for this engine: every root-cause fix
+/// on, with the engine's own metric, kernels, heap, clustering, threads
+/// and seed.
+impl From<SpecializedOptions> for GeneralizedOptions {
+    fn from(opts: SpecializedOptions) -> GeneralizedOptions {
+        GeneralizedOptions {
+            metric: opts.metric,
+            distance: opts.distance,
+            assignment_gemm: Some(opts.gemm),
+            topk: opts.topk,
+            kmeans: opts.kmeans,
+            kmeans_iters: opts.kmeans_iters,
+            threads: opts.threads,
+            seed: opts.seed,
+            ..GeneralizedOptions::all_fixes()
         }
     }
 }

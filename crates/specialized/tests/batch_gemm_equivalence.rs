@@ -45,8 +45,7 @@ fn flat_batched_matches_serial_for_all_batch_sizes() {
         }
         let ks = vec![10usize; batch];
         let batched = idx.search_batch_gemm(&qs, &ks);
-        let serial: Vec<Vec<Neighbor>> =
-            qs.iter().map(|q| idx.search(q, 10)).collect();
+        let serial: Vec<Vec<Neighbor>> = qs.iter().map(|q| idx.search(q, 10)).collect();
         assert_identical(&batched, &serial, &format!("flat batch={batch}"));
     }
 }

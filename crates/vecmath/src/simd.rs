@@ -204,15 +204,28 @@ pub fn scan_into<S: TopKSink>(
         let _t = profile::scoped(Category::DistanceCalc);
         metric.distance_batch(kernel, query, rows, scratch);
     }
+    offer_scanned(sink, scratch, ids);
+}
+
+/// Offer one scan's distances to `sink` under one `MinHeap` scope: row
+/// `i` as `ids[i]` (or `i` without `ids`) at `distances[i]`.
+///
+/// Faiss-style inline threshold check: a rejected row costs one compare,
+/// never a heap call. A row is skipped only when its distance exceeds
+/// the threshold, the one case [`crate::KHeap::push`] is sure to reject.
+/// A row that ties the k-th distance may still win on its id, and a NaN
+/// distance is offered like any other row, so the sink sees exactly the
+/// candidates it would keep from a push of every row.
+// `!(dist > thr)` is the test, not `dist <= thr`: a NaN on either side
+// must offer the row.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub fn offer_scanned<S: TopKSink>(sink: &mut S, distances: &[f32], ids: Option<&[u64]>) {
     let _h = profile::scoped(Category::MinHeap);
-    profile::count(Category::MinHeap, scratch.len() as u64);
-    // Faiss-style inline threshold check: rejected candidates cost one
-    // compare, never a heap call.
+    profile::count(Category::MinHeap, distances.len() as u64);
     let mut thr = sink.threshold();
-    for (i, &dist) in scratch.iter().enumerate() {
-        if dist < thr {
-            let id = ids.map_or(i as u64, |s| s[i]);
-            sink.push(id, dist);
+    for (i, &dist) in distances.iter().enumerate() {
+        if !(dist > thr) {
+            sink.push(ids.map_or(i as u64, |s| s[i]), dist);
             thr = sink.threshold();
         }
     }
@@ -574,25 +587,53 @@ mod tests {
             let v: Vec<f32> = (0..d).map(|i| ((i * 7 + s) as f32 * 0.29).cos()).collect();
             rows.push(&v);
         }
-        let ids: Vec<u64> = (0..rows.len() as u64).map(|i| i * 3 + 5).collect();
-
-        let mut fused = KHeap::new(10);
-        let mut scratch = Vec::new();
-        scan_into(
-            Metric::L2,
-            DistanceKernel::Optimized,
-            &q,
-            &rows,
-            Some(&ids),
-            &mut fused,
-            &mut scratch,
-        );
-
-        let mut manual = KHeap::new(10);
-        for (i, v) in rows.iter().enumerate() {
-            manual.push(ids[i], l2_sqr_auto(&q, v));
+        let mut ids: Vec<u64> = (0..rows.len() as u64).map(|i| i * 3 + 5).collect();
+        // Tie-heavy tail: copies of the query's nearest rows under
+        // descending ids, so a copy ties a kept distance with a smaller id.
+        let nearest = {
+            let mut heap = KHeap::new(4);
+            for (i, v) in rows.iter().enumerate() {
+                heap.push(i as u64, l2_sqr_auto(&q, v));
+            }
+            heap.into_sorted()
+        };
+        for copy in 0..3u64 {
+            for n in &nearest {
+                let v = rows.row(n.id as usize).to_vec();
+                rows.push(&v);
+                ids.push(4 - copy);
+            }
         }
-        assert_eq!(fused.into_sorted(), manual.into_sorted());
+
+        for k in [1usize, 4, 10] {
+            let mut fused = KHeap::new(k);
+            let mut scratch = Vec::new();
+            scan_into(
+                Metric::L2,
+                DistanceKernel::Optimized,
+                &q,
+                &rows,
+                Some(&ids),
+                &mut fused,
+                &mut scratch,
+            );
+
+            let mut manual = KHeap::new(k);
+            for (i, v) in rows.iter().enumerate() {
+                manual.push(ids[i], l2_sqr_auto(&q, v));
+            }
+            assert_eq!(fused.into_sorted(), manual.into_sorted(), "k={k}");
+        }
+    }
+
+    /// A NaN distance is offered while the heap has room, as a push of
+    /// every row would.
+    #[test]
+    fn offer_scanned_keeps_nan_while_not_full() {
+        let mut heap = KHeap::new(3);
+        offer_scanned(&mut heap, &[1.0, f32::NAN, 2.0], None);
+        let ids: Vec<u64> = heap.into_sorted().iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![0, 2, 1]);
     }
 
     #[test]

@@ -5,49 +5,105 @@
 
 use std::sync::Arc;
 use vdb_core::datagen::{brute_force_topk, gaussian, recall_at_k};
-use vdb_core::generalized::{GeneralizedOptions, PaseHnswIndex, PaseIvfFlatIndex};
+use vdb_core::generalized::{
+    FilterStrategy, GeneralizedOptions, PaseHnswIndex, PaseIndex, PaseIvfFlatIndex, SelectionBitmap,
+};
 use vdb_core::specialized::{HnswIndex, IvfFlatIndex, SpecializedOptions, VectorIndex};
 use vdb_core::storage::{BufferManager, DiskManager, PageSize};
+use vdb_core::vecmath::rng::cases;
 use vdb_core::vecmath::{
-    DistanceKernel, HnswParams, IvfParams, KmeansFlavor, Metric, TopKStrategy,
+    DistanceKernel, HnswParams, IvfParams, KmeansFlavor, Metric, Neighbor, TopKStrategy, VectorSet,
 };
 
 fn bm(pages: usize) -> BufferManager {
     BufferManager::new(Arc::new(DiskManager::new(PageSize::Size8K)), pages)
 }
 
-/// With the same centroids and full probing, both engines' IVF_FLAT
-/// must return the *identical* top-k (same candidates, same metric).
+/// `(id, distance bits)` of each result, for bit-for-bit comparison.
+fn bits(found: &[Neighbor]) -> Vec<(u64, u32)> {
+    found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+}
+
+/// Generalized IVF_FLAT with every fix on equals specialized IVF_FLAT
+/// given its centroids (the paper's Faiss* trick in reverse), bit for
+/// bit, at random probe depths and through every entry point: serial,
+/// batch, batch-GEMM and both filtered strategies. The data holds exact
+/// ties: duplicated rows, and queries on them.
 #[test]
 fn ivfflat_same_centroids_same_results() {
-    let data = gaussian::generate(24, 1_500, 12, 3);
-    let params = IvfParams {
-        clusters: 12,
-        sample_ratio: 0.3,
-        nprobe: 12,
-    };
+    cases("ivfflat_same_centroids_same_results", 12, |rng| {
+        let clusters = rng.range_usize(2..13);
+        let mut data = gaussian::generate(12, rng.range_usize(300..900), 6, rng.next_u64());
+        for _ in 0..rng.range_usize(1..80) {
+            let row = data.row(rng.range_usize(0..data.len())).to_vec();
+            data.push(&row);
+        }
+        let params = IvfParams {
+            clusters,
+            sample_ratio: 0.3,
+            nprobe: rng.range_usize(1..clusters + 1),
+        };
+        let bm = bm(4096);
+        let (pase, _) =
+            PaseIvfFlatIndex::build(GeneralizedOptions::all_fixes(), params, &bm, &data).unwrap();
+        let spec_opts = SpecializedOptions::default();
+        let (faiss_star, _) =
+            IvfFlatIndex::with_centroids(spec_opts, params, pase.centroids().clone(), &data);
+        assert_eq!(pase.bucket_sizes(), faiss_star.bucket_sizes());
 
-    // Build the generalized index first, then transplant its centroids
-    // into the specialized engine (the paper's Faiss* trick in reverse).
-    let bm = bm(4096);
-    // Use the optimized kernel on both sides so distances are
-    // bit-identical.
-    let gen_opts = GeneralizedOptions {
-        distance: DistanceKernel::Optimized,
-        topk: TopKStrategy::SizeK,
-        ..Default::default()
-    };
-    let (pase, _) = PaseIvfFlatIndex::build(gen_opts, params, &bm, &data).unwrap();
-    let spec_opts = SpecializedOptions::default();
-    let (faiss_star, _) =
-        IvfFlatIndex::with_centroids(spec_opts, params, pase.centroids().clone(), &data);
-
-    for qi in [0usize, 100, 700, 1499] {
-        let q = data.row(qi);
-        let a = pase.search_with_nprobe(&bm, q, 10, 12).unwrap();
-        let b = faiss_star.search_with_nprobe(q, 10, 12);
-        assert_eq!(a, b, "query {qi}");
-    }
+        let mut filter = SelectionBitmap::new();
+        for id in 0..data.len() as u64 {
+            if rng.range_usize(0..3) == 0 {
+                filter.insert(id);
+            }
+        }
+        let mut queries = VectorSet::empty(data.dim());
+        let mut ks = Vec::new();
+        for _ in 0..6 {
+            let row = data.row(rng.range_usize(0..data.len()));
+            let q: Vec<f32> = if rng.bool() {
+                row.to_vec()
+            } else {
+                row.iter().map(|x| x + rng.range_f32(-0.3..0.3)).collect()
+            };
+            let k = rng.range_usize(1..30);
+            let nprobe = rng.range_usize(1..clusters + 1);
+            assert_eq!(
+                bits(&pase.search_with_nprobe(&bm, &q, k, nprobe).unwrap()),
+                bits(&faiss_star.search_with_nprobe(&q, k, nprobe)),
+                "k={k} nprobe={nprobe}"
+            );
+            for strategy in [FilterStrategy::PreFilter, FilterStrategy::PostFilter] {
+                assert_eq!(
+                    bits(
+                        &pase
+                            .scan_filtered(&bm, &q, k, &filter, strategy, None)
+                            .unwrap()
+                    ),
+                    bits(&faiss_star.search_filtered(&q, k, &filter, strategy)),
+                    "{strategy:?} k={k}"
+                );
+            }
+            queries.push(&q);
+            ks.push(k);
+        }
+        let all = |found: Vec<Vec<Neighbor>>| -> Vec<Vec<(u64, u32)>> {
+            found.iter().map(|r| bits(r)).collect()
+        };
+        let nprobe = params.nprobe;
+        assert_eq!(
+            all(pase
+                .search_batch_with_nprobe(&bm, &queries, ks[0], nprobe)
+                .unwrap()),
+            all(faiss_star.search_batch(&queries, ks[0], nprobe)),
+            "batch"
+        );
+        assert_eq!(
+            all(pase.search_batch_gemm(&bm, &queries, &ks, nprobe).unwrap()),
+            all(faiss_star.search_batch_gemm(&queries, &ks, nprobe)),
+            "batch-GEMM"
+        );
+    });
 }
 
 /// Same k-means flavor + same seed ⇒ same centroids in both engines.
@@ -148,36 +204,66 @@ fn heap_strategy_does_not_change_answers() {
 }
 
 /// The specialized flat index is the recall oracle: IVF_FLAT at full
-/// probe equals it exactly in both engines.
+/// probe equals it exactly in both engines, paged and with every fix
+/// on, on clustered data and on a tie: two rows at the same distance
+/// from the query, the larger id in the bucket scanned first.
 #[test]
 fn full_probe_equals_flat_everywhere() {
-    let data = gaussian::generate(12, 600, 6, 41);
+    let clustered = gaussian::generate(12, 600, 6, 41);
+    let queries: Vec<Vec<f32>> = [0usize, 300, 599]
+        .iter()
+        .map(|&i| clustered.row(i).to_vec())
+        .collect();
+    full_probe_equals_flat(&clustered, 6, None, &queries, 10);
+
+    let tie = VectorSet::from_flat(2, vec![-1.0, 0.0, 1.0, 0.0]);
+    let centroids = VectorSet::from_flat(2, vec![1.0, 0.0, -1.0, 0.0]);
+    full_probe_equals_flat(&tie, 2, Some(centroids), &[vec![0.0, 0.0]], 1);
+}
+
+/// Every IVF_FLAT over `data` with `clusters` buckets (the specialized
+/// one over `centroids` if given), probed fully, returns the flat
+/// index's top `k` for each of `queries`.
+fn full_probe_equals_flat(
+    data: &VectorSet,
+    clusters: usize,
+    centroids: Option<VectorSet>,
+    queries: &[Vec<f32>],
+    k: usize,
+) {
     let params = IvfParams {
-        clusters: 6,
+        clusters,
         sample_ratio: 0.5,
-        nprobe: 6,
+        nprobe: clusters,
     };
-    let flat = vdb_core::specialized::FlatIndex::new(SpecializedOptions::default(), data.clone());
-    let (ivf, _) = IvfFlatIndex::build(SpecializedOptions::default(), params, &data);
+    let spec_opts = SpecializedOptions::default();
+    let flat = vdb_core::specialized::FlatIndex::new(spec_opts, data.clone());
+    let (ivf, _) = match centroids {
+        Some(centroids) => IvfFlatIndex::with_centroids(spec_opts, params, centroids, data),
+        None => IvfFlatIndex::build(spec_opts, params, data),
+    };
     let bm = bm(2048);
     let gen_opts = GeneralizedOptions {
         distance: DistanceKernel::Optimized,
         ..Default::default()
     };
-    let (pase, _) = PaseIvfFlatIndex::build(gen_opts, params, &bm, &data).unwrap();
+    let (pase, _) = PaseIvfFlatIndex::build(gen_opts, params, &bm, data).unwrap();
+    let (fixed, _) =
+        PaseIvfFlatIndex::build(GeneralizedOptions::all_fixes(), params, &bm, data).unwrap();
 
-    for qi in [0usize, 300, 599] {
-        let q = data.row(qi);
-        let oracle = flat.search(q, 10);
+    for q in queries {
+        let oracle = flat.search(q, k);
         assert_eq!(
-            ivf.search_with_nprobe(q, 10, 6),
+            ivf.search_with_nprobe(q, k, clusters),
             oracle,
-            "specialized, query {qi}"
+            "specialized, query {q:?}"
         );
-        assert_eq!(
-            pase.search_with_nprobe(&bm, q, 10, 6).unwrap(),
-            oracle,
-            "generalized, query {qi}"
-        );
+        for (engine, idx) in [("generalized", &pase), ("all fixes", &fixed)] {
+            assert_eq!(
+                idx.search_with_nprobe(&bm, q, k, clusters).unwrap(),
+                oracle,
+                "{engine}, query {q:?}"
+            );
+        }
     }
 }
