@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the primitive operations behind the root
 //! causes: distance kernels, one-vs-many scans, top-k heaps (RC#6), PQ
 //! table construction (RC#7), the blocked GEMM (RC#1, paper §V-A) and
-//! what a bucket costs through the buffer pool (RC#2). The macro
+//! what a bucket costs through the buffer pool (RC#2), and what a DELETE
+//! by id costs through SQL and the id B-tree. The macro
 //! experiments live in the other bench targets; these quantify the
 //! per-operation deltas.
 //!
@@ -15,6 +16,7 @@ use std::time::{Duration, Instant};
 use vdb_core::gemm::{gemm_nt_blocked, gemm_nt_naive};
 use vdb_core::generalized::{GeneralizedOptions, PaseIvfFlatIndex};
 use vdb_core::specialized::{IvfFlatIndex, SpecializedOptions};
+use vdb_core::sql::Database;
 use vdb_core::storage::{BufferManager, DiskManager, PageSize};
 use vdb_core::vecmath::distance::{l2_sqr_ref, l2_sqr_unrolled};
 use vdb_core::vecmath::pq::train_default;
@@ -200,6 +202,49 @@ fn paged_scan() {
     }
 }
 
+/// `DELETE FROM t WHERE id = n` through SQL on an `n`-row table of
+/// 16-d rows: ns per statement (best of [`DELETE_PASSES`] passes of
+/// [`DELETES`] statements, each pass over a freshly loaded table) and
+/// the exact pins per statement. The id B-tree finds the row in
+/// `height` pins, then the heap delete and the leaf update take one
+/// each, so the pins stay `height + 2` from 10k to 100k rows.
+fn delete_by_id() {
+    const DELETES: usize = 1_000;
+    const DELETE_PASSES: usize = 5;
+    let d = 16;
+    for n in [10_000usize, 100_000] {
+        let data = VectorSet::from_flat(d, random(n * d, 10));
+        let ids: Vec<i64> = (0..n as i64).collect();
+        let victims: Vec<String> = (0..DELETES)
+            .map(|i| format!("DELETE FROM t WHERE id = {}", i * n / DELETES))
+            .collect();
+        let mut best_ns = f64::INFINITY;
+        let mut pins = 0.0;
+        for _ in 0..DELETE_PASSES {
+            let mut db = Database::new(PageSize::Size8K, 4096);
+            // PANIC-OK: a bench over an in-memory table it just created.
+            db.execute(&format!("CREATE TABLE t (id int, vec float[{d}])"))
+                .expect("create");
+            db.bulk_load("t", &ids, &data).expect("load");
+            let pinned = |db: &Database| {
+                let s = db.buffer_manager().stats();
+                s.hits + s.misses
+            };
+            let before = pinned(&db);
+            let t0 = Instant::now();
+            for sql in &victims {
+                black_box(db.execute(sql).expect("delete"));
+            }
+            best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / DELETES as f64);
+            pins = (pinned(&db) - before) as f64 / DELETES as f64;
+        }
+        let label = format!("delete_by_id/sql/{n}");
+        println!("{label:<36} {best_ns:>12.1} ns/op");
+        let label = format!("delete_by_id/pins/{n}");
+        println!("{label:<36} {pins:>12.1} pins/op");
+    }
+}
+
 fn main() {
     distance_kernels();
     batched_scan();
@@ -207,4 +252,5 @@ fn main() {
     pq_tables();
     gemm_nt();
     paged_scan();
+    delete_by_id();
 }

@@ -165,6 +165,10 @@ struct Inner {
     slots: Vec<Slot>,
     /// Latest live slot per application id (re-inserts win).
     by_id: HashMap<u64, u32>,
+    /// For a slot that shadowed a live slot of the same id when it was
+    /// added: that older slot, which becomes the id's latest again when
+    /// this one is deleted. Duplicated ids only; empty otherwise.
+    shadowed: HashMap<u32, u32>,
     /// Tombstone count — the search over-fetch margin.
     dead: usize,
 }
@@ -180,14 +184,21 @@ impl Inner {
                     tid: *tid,
                     live: true,
                 });
-                self.by_id.insert(*id, native_id as u32);
+                if let Some(older) = self.by_id.insert(*id, native_id as u32) {
+                    self.shadowed.insert(native_id as u32, older);
+                }
             }
+            // The SQL layer deletes an id's newest row, so the id's
+            // latest slot goes, and the one it shadowed takes its place.
             ChangeRecord::Delete { id } => {
                 if let Some(slot) = self.by_id.remove(id) {
                     let s = &mut self.slots[slot as usize];
                     if s.live {
                         s.live = false;
                         self.dead += 1;
+                    }
+                    if let Some(older) = self.shadowed.remove(&slot) {
+                        self.by_id.insert(*id, older);
                     }
                 }
             }
@@ -231,12 +242,15 @@ impl DecoupledIndex {
         assert!(!data.is_empty(), "cannot build over an empty table");
         let native = Native::build(opts, params, data);
         let mut by_id = HashMap::with_capacity(ids.len());
+        let mut shadowed = HashMap::new();
         let slots = ids
             .iter()
             .zip(tids)
             .enumerate()
             .map(|(i, (&id, &tid))| {
-                by_id.insert(id, i as u32);
+                if let Some(older) = by_id.insert(id, i as u32) {
+                    shadowed.insert(i as u32, older);
+                }
                 Slot {
                     id,
                     tid,
@@ -255,6 +269,7 @@ impl DecoupledIndex {
                     native,
                     slots,
                     by_id,
+                    shadowed,
                     dead: 0,
                 },
             ),
@@ -658,6 +673,36 @@ mod tests {
         assert_eq!(ix.len(), 29);
         let res = ix.search(data.row(3), 1);
         assert_eq!(res[0].id, runner_up, "tombstoned row must not surface");
+    }
+
+    /// Each delete of a duplicated id tombstones the id's newest live
+    /// entry, as the SQL layer deletes the newest row: no live entry
+    /// is left pointing at a deleted row.
+    #[test]
+    fn deletes_of_a_duplicated_id_go_newest_first() {
+        let (ix, _) = build_flat(10, Consistency::Sync);
+        let links = |ix: &DecoupledIndex| -> Vec<Tid> {
+            let mut v: Vec<Tid> = ix
+                .backlinks()
+                .into_iter()
+                .filter(|&(id, _)| id == 7777)
+                .map(|(_, tid)| tid)
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        for i in 10..13 {
+            ix.insert(7777, tid_of(i), &[i as f32; 4]);
+        }
+        ix.delete(7777);
+        assert_eq!(links(&ix), vec![tid_of(10), tid_of(11)]);
+        ix.insert(7777, tid_of(13), &[13.0; 4]);
+        ix.delete(7777);
+        ix.delete(7777);
+        assert_eq!(links(&ix), vec![tid_of(10)]);
+        ix.delete(7777);
+        assert_eq!(links(&ix), Vec::<Tid>::new());
+        assert_eq!(ix.len(), 10);
     }
 
     #[test]

@@ -872,7 +872,8 @@ mod tests {
 
     /// The three stores return the same neighbors, bit for bit, through
     /// every entry point (serial, batch, batch-GEMM and both filtered
-    /// strategies) on random queries, `k` and `nprobe`, after random
+    /// strategies) under each metric (every store ranks the centroids by
+    /// it) on random queries, `k` and `nprobe`, after random
     /// inserts that leave partly filled tail pages: the pages through the
     /// pool, the same index reading its resident copy (RC#2's fix), and
     /// the core over resident buckets alone, given the paged index's
@@ -882,7 +883,10 @@ mod tests {
     fn memory_optimized_gives_identical_results() {
         vdb_vecmath::rng::cases("memory_optimized_gives_identical_results", 24, |rng| {
             let (bm, mut data) = setup();
-            let paged = GeneralizedOptions::default();
+            let paged = GeneralizedOptions {
+                metric: rng.pick(&[Metric::L2, Metric::InnerProduct, Metric::Cosine]),
+                ..GeneralizedOptions::default()
+            };
             let cached = GeneralizedOptions {
                 memory_optimized: true,
                 ..paged

@@ -108,8 +108,9 @@ impl GeneralizedOptions {
         }
     }
 
-    /// The `nprobe` buckets of the in-memory `quantizer` nearest `query`,
-    /// best first (probe selection with the RC#2 fix: no centroid pages).
+    /// The `nprobe` buckets of the in-memory `quantizer` nearest `query`
+    /// under [`metric`](Self::metric), best first: probe selection with
+    /// the RC#2 fix (no centroid pages), in the order the pages give.
     pub(crate) fn quantizer_probes(
         &self,
         quantizer: &Kmeans,
@@ -117,7 +118,7 @@ impl GeneralizedOptions {
         nprobe: usize,
     ) -> Vec<usize> {
         quantizer
-            .nearest_n(self.distance, query, nprobe)
+            .nearest_n_by(self.metric, self.distance, query, nprobe)
             .into_iter()
             .map(|(b, _)| b)
             .collect()

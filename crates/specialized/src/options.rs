@@ -72,10 +72,11 @@ impl From<SpecializedOptions> for GeneralizedOptions {
 }
 
 impl SpecializedOptions {
-    /// The `nprobe` buckets of `quantizer` nearest `query`, best first.
+    /// The `nprobe` buckets of `quantizer` nearest `query` under
+    /// [`metric`](Self::metric), best first.
     pub(crate) fn probes(&self, quantizer: &Kmeans, query: &[f32], nprobe: usize) -> Vec<usize> {
         quantizer
-            .nearest_n(self.distance, query, nprobe)
+            .nearest_n_by(self.metric, self.distance, query, nprobe)
             .into_iter()
             .map(|(b, _)| b)
             .collect()

@@ -17,9 +17,10 @@ use vdb_generalized::{
 use vdb_profile::{self as profile, Category};
 use vdb_serve::{BatchScheduler, ServeMode};
 use vdb_specialized::SpecializedOptions;
+use vdb_storage::btree::key_from_i64;
 use vdb_storage::sync::OrderedMutex;
 use vdb_storage::tuple::{decode_attr, decode_id, encode_tuple, vector_slice};
-use vdb_storage::{BufferManager, BufferPoolMode, DiskManager, HeapTable, PageSize, Tid};
+use vdb_storage::{BTree, BufferManager, BufferPoolMode, DiskManager, HeapTable, PageSize, Tid};
 use vdb_vecmath::{HnswParams, IvfParams, Metric, PqParams, VectorSet};
 
 /// Planner sample size for predicate selectivity estimation.
@@ -73,6 +74,10 @@ impl QueryResult {
 
 pub(crate) struct TableState {
     pub heap: HeapTable,
+    /// `(id, tid)` of every live row: DELETE, `WHERE id =` and row
+    /// fetches go through it instead of scanning the heap. Duplicates of
+    /// an id come back in TID order, so the newest row is the last.
+    pub ids: BTree,
     pub dim: Option<usize>,
     /// Scalar attribute column names, in declaration (= tuple) order.
     pub attrs: Vec<String>,
@@ -301,20 +306,28 @@ impl Database {
         }
         check_dim(&mut state.dim, vectors.dim())?;
         static NO_ATTRS: Vec<f64> = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let attrs = attr_rows.get(i).unwrap_or(&NO_ATTRS);
-            if attrs.len() != nattrs {
-                return Err(SqlError::Semantic(format!(
-                    "expected {nattrs} attribute value(s), got {}",
-                    attrs.len()
-                )));
+        let mut entries = Vec::with_capacity(ids.len());
+        let mut load = || {
+            for (i, &id) in ids.iter().enumerate() {
+                let attrs = attr_rows.get(i).unwrap_or(&NO_ATTRS);
+                if attrs.len() != nattrs {
+                    return Err(SqlError::Semantic(format!(
+                        "expected {nattrs} attribute value(s), got {}",
+                        attrs.len()
+                    )));
+                }
+                let tid = state
+                    .heap
+                    .insert(&self.bm, &encode_tuple(id, attrs, vectors.row(i)))?;
+                entries.push((key_from_i64(id), tid));
+                state.nrows += 1;
             }
-            state
-                .heap
-                .insert(&self.bm, &encode_tuple(id, attrs, vectors.row(i)))?;
-            state.nrows += 1;
-        }
-        Ok(())
+            Ok(())
+        };
+        let loaded = load();
+        // The rows a failed load left in the heap are indexed too.
+        state.ids.extend(&self.bm, &entries)?;
+        loaded
     }
 
     fn create_table(&mut self, name: String, columns: Vec<ColumnDef>) -> Result<QueryResult> {
@@ -360,10 +373,12 @@ impl Database {
             ));
         }
         let heap = HeapTable::create(&self.bm);
+        let ids = BTree::create(&self.bm);
         self.tables.insert(
             name,
             TableState {
                 heap,
+                ids,
                 dim,
                 attrs,
                 nrows: 0,
@@ -493,7 +508,9 @@ impl Database {
             }
             check_dim(&mut state.dim, v.len())?;
             state.deleted.remove(id);
-            row_tids.push(state.heap.insert(&self.bm, &encode_tuple(*id, attrs, v))?);
+            let tid = state.heap.insert(&self.bm, &encode_tuple(*id, attrs, v))?;
+            state.ids.insert(&self.bm, key_from_i64(*id), tid)?;
+            row_tids.push(tid);
             state.nrows += 1;
         }
         // Maintain all indexes on this table. The heap TID rides along
@@ -579,21 +596,17 @@ impl Database {
     }
 
     /// Delete a row by id: dead in the heap immediately, filtered out
-    /// of index results by the visibility check until a rebuild.
+    /// of index results by the visibility check until a rebuild. Of
+    /// several rows with the id, the newest (highest TID) goes.
     fn delete(&mut self, table: String, id: i64) -> Result<QueryResult> {
         let state = self
             .tables
             .get_mut(&table)
             .ok_or_else(|| SqlError::Semantic(format!("unknown table {table:?}")))?;
-        let mut victim = None;
-        state.heap.scan(&self.bm, |tid, bytes| {
-            if decode_id(bytes) == id {
-                victim = Some(tid);
-            }
-        })?;
-        match victim {
-            Some(tid) => {
-                state.heap.delete(&self.bm, tid)?;
+        match state.ids.last(&self.bm, key_from_i64(id))? {
+            Some(hit) => {
+                state.heap.delete(&self.bm, hit.tid)?;
+                state.ids.delete_hit(&self.bm, hit)?;
                 state.deleted.insert(id);
                 state.nrows = state.nrows.saturating_sub(1);
                 // Tell the indexes. Page-based AMs no-op (the executor's
@@ -661,7 +674,7 @@ impl Database {
                 format!("Seq Scan on {table_name} (filter: {pred}) -> Sort -> Limit (k={k})")
             }
             crate::planner::Plan::PointLookup { id } => {
-                format!("Seq Scan on {table_name} (filter: id = {id})")
+                format!("Index Scan using btree (id) on {table_name} (cond: id = {id})")
             }
             crate::planner::Plan::FilteredScan { pred, limit } => match limit {
                 Some(l) => format!("Seq Scan on {table_name} (filter: {pred}, limit {l})"),
@@ -682,8 +695,15 @@ impl Database {
         let removed = match what.as_str() {
             "table" => {
                 let existed = self.tables.remove(&name).is_some();
-                // Cascade: drop indexes on the table.
-                self.indexes.retain(|_, ix| ix.table != name);
+                // Cascade: drop indexes on the table, and their schedulers.
+                let mut schedulers = self.schedulers.lock();
+                self.indexes.retain(|ix_name, ix| {
+                    let keep = ix.table != name;
+                    if !keep {
+                        schedulers.remove(ix_name);
+                    }
+                    keep
+                });
                 existed
             }
             "index" => {

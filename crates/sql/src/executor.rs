@@ -3,11 +3,12 @@
 use crate::database::{Database, QueryResult, Value};
 use crate::planner::Plan;
 use crate::{Result, SqlError};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use vdb_filter::{AttrSchema, BoundPredicate, FilterStrategy, Predicate, SelectionBitmap};
 use vdb_profile::{self as profile, Category};
+use vdb_storage::btree::key_from_i64;
 use vdb_storage::tuple::{decode_attrs, decode_id, vector_slice};
+use vdb_storage::Tid;
 use vdb_vecmath::{DistanceKernel, Metric, NHeap, Neighbor};
 
 /// A materialized result row before projection: id, scalar attribute
@@ -129,19 +130,16 @@ pub fn execute_select(
         }
         Plan::PointLookup { id } => {
             let state = db.table(table)?;
-            let nattrs = state.attrs.len();
-            let mut rows: Vec<Row> = Vec::new();
-            state.heap.scan(db.bm(), |_, bytes| {
-                let row_id = decode_id(bytes);
-                if row_id == id {
-                    rows.push((
-                        row_id,
-                        decode_attrs(bytes, nattrs),
-                        vector_slice(bytes, nattrs).to_vec(),
-                        None,
-                    ));
-                }
+            let key = key_from_i64(id);
+            let mut tids = Vec::new();
+            state.ids.range(db.bm(), key, key, |hit| {
+                tids.push(hit.tid);
+                ControlFlow::Continue(())
             })?;
+            let rows = tids
+                .into_iter()
+                .map(|tid| fetch_row(db, table, tid, None))
+                .collect::<Result<Vec<Row>>>()?;
             project_rows(db, table, projection, &rows)
         }
         Plan::FilteredScan { pred, limit } => {
@@ -306,35 +304,19 @@ fn project_neighbors(
     found: &[Neighbor],
 ) -> Result<QueryResult> {
     let state = db.table(table)?;
-    let nattrs = state.attrs.len();
     // id and distance come straight from the neighbor list; anything
-    // else (vec, attrs, *) needs a heap lookup.
+    // else (vec, attrs, *) needs the row.
     let needs_fetch = projection.iter().any(|c| c != "id" && c != "distance");
     let mut rows: Vec<Row> = Vec::with_capacity(found.len());
     if needs_fetch {
-        // One table pass copying out only the rows the result names (a
-        // later tuple with the same id replaces an earlier one).
-        let mut row_of: HashMap<i64, Option<Row>> =
-            found.iter().map(|n| (n.id as i64, None)).collect();
-        state.heap.scan(db.bm(), |_, bytes| {
-            let id = decode_id(bytes);
-            if let Some(slot) = row_of.get_mut(&id) {
-                *slot = Some((
-                    id,
-                    decode_attrs(bytes, nattrs),
-                    vector_slice(bytes, nattrs).to_vec(),
-                    None,
-                ));
-            }
-        })?;
+        // Each id's newest row, through the id tree.
         for n in found {
             let id = n.id as i64;
-            let (_, attrs, v, _) = row_of
-                .get(&id)
-                .cloned()
-                .flatten()
+            let hit = state
+                .ids
+                .last(db.bm(), key_from_i64(id))?
                 .ok_or_else(|| SqlError::Semantic(format!("index returned unknown id {id}")))?;
-            rows.push((id, attrs, v, Some(n.distance)));
+            rows.push(fetch_row(db, table, hit.tid, Some(n.distance))?);
         }
     } else {
         for n in found {
@@ -342,6 +324,20 @@ fn project_neighbors(
         }
     }
     project_rows(db, table, projection, &rows)
+}
+
+/// The row at `tid`, with `distance` attached.
+fn fetch_row(db: &Database, table: &str, tid: Tid, distance: Option<f32>) -> Result<Row> {
+    let state = db.table(table)?;
+    let nattrs = state.attrs.len();
+    Ok(state.heap.fetch_bytes(db.bm(), tid, |bytes| {
+        (
+            decode_id(bytes),
+            decode_attrs(bytes, nattrs),
+            vector_slice(bytes, nattrs).to_vec(),
+            distance,
+        )
+    })?)
 }
 
 /// Apply the projection list to materialized rows.

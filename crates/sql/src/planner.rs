@@ -74,7 +74,7 @@ pub enum Plan {
         /// Metric implied by the operator.
         metric: Metric,
     },
-    /// `WHERE id = n` point lookup via sequential scan.
+    /// `WHERE id = n` point lookup through the table's id B-tree.
     PointLookup {
         /// The id searched for.
         id: i64,

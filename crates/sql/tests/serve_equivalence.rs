@@ -204,3 +204,29 @@ fn random_batches_equal_serial() {
         assert_eq!(batched, serial);
     });
 }
+
+/// `DROP TABLE` discards the admission schedulers of the indexes it
+/// cascades to: a same-named index re-created at another dimension is
+/// served by a fresh scheduler, not one that rejects its queries.
+#[test]
+fn drop_table_discards_its_indexes_schedulers() {
+    let mut db = Database::in_memory();
+    db.set_serve_mode(ServeMode::Batched(BatchConfig::default()));
+    for dim in [3, 5] {
+        db.execute(&format!("CREATE TABLE t (id int, vec float[{dim}])"))
+            .unwrap();
+        let rows: Vec<String> = (0..20)
+            .map(|i| format!("({i}, '{{{}}}')", vec![i.to_string(); dim].join(",")))
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+            .unwrap();
+        db.execute("CREATE INDEX ix ON t USING ivfflat(vec) WITH (clusters = 2, nprobe = 2)")
+            .unwrap();
+        let q = vec!["1"; dim].join(",");
+        let res = db
+            .query(&format!("SELECT id FROM t ORDER BY vec <-> '{q}' LIMIT 1"))
+            .unwrap_or_else(|e| panic!("dim {dim}: {e}"));
+        assert_eq!(res.ids(), vec![1], "dim {dim}");
+        db.execute("DROP TABLE t").unwrap();
+    }
+}

@@ -22,9 +22,11 @@
 //! | [`disk`] | `smgr`/`md.c` segment storage (tmpfs-resident) |
 //! | [`buffer`] | `bufmgr.c` shared buffer pool with clock sweep |
 //! | [`heap`] | heap access method (`heapam`) |
+//! | [`btree`] | B-tree access method (`nbtree`) |
 //! | [`tid`] | `ItemPointerData` |
 //! | [`catalog`] | `pg_class`, minimally |
 
+pub mod btree;
 pub mod buffer;
 pub mod catalog;
 pub mod disk;
@@ -36,6 +38,7 @@ pub mod sync;
 pub mod tid;
 pub mod tuple;
 
+pub use btree::BTree;
 pub use buffer::{BufferManager, BufferPoolMode, BufferStats, ShardStats};
 pub use catalog::{Catalog, RelationInfo};
 pub use disk::{DiskManager, RelId};

@@ -16,6 +16,7 @@
 //! Training time is attributed to [`Category::KmeansTrain`].
 
 use crate::distance::{l2_sqr, l2_sqr_ref, DistanceKernel};
+use crate::metric::Metric;
 use crate::rng::Rng;
 use crate::vectors::VectorSet;
 use vdb_gemm::{l2_distance_table, GemmKernel};
@@ -184,6 +185,30 @@ impl Kmeans {
                 .map(|(j, c)| (j, l2_sqr(kernel, v, c)))
                 .collect(),
         };
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(nprobe.max(1));
+        all
+    }
+
+    /// [`nearest_n`](Self::nearest_n) under `metric`: the `nprobe`
+    /// centroids with the smallest `metric` distance to `v`, closest
+    /// first, ties to the lower index. L2 keeps the batched kernel.
+    pub fn nearest_n_by(
+        &self,
+        metric: Metric,
+        kernel: DistanceKernel,
+        v: &[f32],
+        nprobe: usize,
+    ) -> Vec<(usize, f32)> {
+        if metric == Metric::L2 {
+            return self.nearest_n(kernel, v, nprobe);
+        }
+        let mut all: Vec<(usize, f32)> = self
+            .centroids
+            .iter()
+            .enumerate()
+            .map(|(j, c)| (j, metric.distance_with(kernel, v, c)))
+            .collect();
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         all.truncate(nprobe.max(1));
         all
