@@ -175,7 +175,7 @@ fn mini_drain(log: &MiniLog, atomic_cursor: bool, apply: &mut dyn FnMut(u64)) {
     }
 }
 
-/// Model over [`MiniLog`]: two drainers race over a pre-filled log,
+/// Model over `MiniLog`: two drainers race over a pre-filled log,
 /// counting how often each record is applied. With the atomic cursor
 /// every schedule applies each record exactly once; with the seeded
 /// bug the explorer finds the double-apply (`#[should_panic]` in the

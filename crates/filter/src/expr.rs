@@ -4,7 +4,7 @@
 //! [`AttrSchema`] resolves the names to dense column indexes once, so
 //! per-tuple evaluation is a cheap index walk with no string hashing —
 //! the evaluation sits on the scan hot path and is attributed to
-//! [`Category::FilterEval`] by callers.
+//! `Category::FilterEval` by callers.
 
 use std::fmt;
 

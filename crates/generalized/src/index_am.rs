@@ -107,12 +107,12 @@ pub trait PaseIndex: Send + Sync {
     /// The default implementation serves both strategies with the shared
     /// adaptive k-expansion loop over
     /// [`scan_with_knob`](Self::scan_with_knob) — approximate for
-    /// approximate access methods (HNSW and IVF_PQ use it; for HNSW a
-    /// larger `k'` also widens the search beam).
-    /// IVF_FLAT overrides both arms: pre-filter with its TID-qualified
-    /// full list scan, post-filter with one bitmap-qualified walk of the
-    /// probed lists, since re-scanning the same lists with a larger `k'`
-    /// adds nothing. The SQL executor runs pre-filter plans as the exact
+    /// approximate access methods (HNSW uses it; a larger `k'` also
+    /// widens its search beam). The IVF indexes (IVF_FLAT and IVF_PQ)
+    /// override both arms: pre-filter with a TID-qualified scan of every
+    /// list, post-filter with one bitmap-qualified walk of the probed
+    /// lists, since re-scanning the same lists with a larger `k'` adds
+    /// nothing. The SQL executor runs pre-filter plans as the exact
     /// filtered heap scan and calls this only for post-filter.
     fn scan_filtered(
         &self,

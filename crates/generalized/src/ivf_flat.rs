@@ -1,397 +1,135 @@
-//! IVF_FLAT, written once for both engines: one core over two bucket
-//! stores.
-//!
-//! Paper §VI-A: "IVF_FLAT is stored in centroid pages and data pages
-//! where the centroid pages store centroid vectors and data pages store
-//! base vectors in the buckets of each centroid." [`IvfFlat`] holds,
-//! once each, training, assignment, insert, the RC#3 probe search, the
-//! filtered walk and the batch-GEMM serve path. Where the rows live is
-//! its store:
-//!
-//! * [`Paged`]: PASE's centroid pages and bucket-chained data pages, every
-//!   read through the buffer manager (RC#2). [`PaseIvfFlatIndex`] is the
-//!   core over it. Under `memory_optimized` it also keeps a [`Resident`]
-//!   copy, read by one walk of the pages after the build and kept current
-//!   by every insert, and reads from that copy instead (RC#2's fix).
-//! * [`Resident`]: each bucket's ids and vectors in plain arrays, scanned
-//!   by one fused [`simd::scan_into`] and served to batches from a packed
-//!   [`RowBlock`]. The specialized engine's `IvfFlatIndex` is the core
-//!   over it with every root-cause fix on.
-//!
-//! By default the adding phase assigns one vector at a time with scalar
-//! distances — no SGEMM (RC#1) — which is why Figure 3 shows 35–85×
-//! slower builds, and every search computes distances with the
-//! reference kernel into a size-*n* heap (RC#6).
+//! IVF_FLAT: the IVF core ([`crate::ivf`]) with the raw vector as each
+//! row's code. [`PaseIvfFlatIndex`] is the core over PASE's pages; the
+//! specialized engine's `IvfFlatIndex` is the core over resident buckets
+//! with every root-cause fix on. IVF_FLAT alone also serves admission
+//! batches through a GEMM distance table, each probed bucket read once.
 
-use crate::index_am::PaseIndex;
-use crate::ivf_pages::{IvfPages, ScanScratch};
-use crate::options::{GeneralizedOptions, ParallelMode};
+use crate::ivf::{resident, sealed, Bucket, Codes, Ivf, Paging, Rows};
+use crate::options::GeneralizedOptions;
+use std::borrow::Cow;
 use std::sync::OnceLock;
-use std::time::Instant;
-use vdb_filter::{FilterStrategy, SelectionBitmap};
 use vdb_gemm::GemmKernel;
 use vdb_profile::{self as profile, Category};
 use vdb_serve::{scan_block, scan_block_cached, BatchScratch, QueryBlock, RowBlock};
 use vdb_storage::heap::{as_bytes_f32, bytemuck_f32};
 use vdb_storage::{BufferManager, Result};
-use vdb_vecmath::parallel::map_chunks;
-use vdb_vecmath::sampling::sample_indices;
-use vdb_vecmath::{
-    simd, BuildTiming, IvfParams, KHeap, Kmeans, KmeansParams, Metric, Neighbor, TopKCollector,
-    TopKSink, VectorSet,
-};
+use vdb_vecmath::{simd, BuildTiming, IvfParams, KHeap, Metric, Neighbor, TopKSink, VectorSet};
+
+pub use crate::ivf::{Paged, Resident};
+
+/// The raw vector as its own code, of the given dimension.
+pub struct Flat(usize);
 
 /// IVF_FLAT over the bucket store `S` ([`Paged`] or [`Resident`]).
-pub struct IvfFlat<S> {
-    opts: GeneralizedOptions,
-    params: IvfParams,
-    /// The trained centroids, in memory: assignment reads them (PASE
-    /// also trains in memory before writing pages), and so does probe
-    /// selection over resident rows.
-    quantizer: Kmeans,
-    store: S,
-    len: usize,
-}
+pub type IvfFlat<S> = Ivf<S, Flat>;
 
 /// The generalized engine's IVF_FLAT: the core over PASE's pages.
 pub type PaseIvfFlatIndex = IvfFlat<Paged>;
 
-/// PASE's IVF_FLAT pages, plus the resident copy RC#2's fix reads.
-pub struct Paged {
-    pages: IvfPages,
-    resident: Option<Resident>,
-}
-
-/// Every bucket's rows in plain arrays, one bucket per centroid.
-pub struct Resident(Vec<Bucket>);
-
-/// One inverted list: parallel arrays of ids and vectors, plus the
-/// packed GEMM panels and row norms batched serving reads, built on
-/// first batched access and dropped whenever the list changes. The
-/// block never affects results: it is a repack of the same vectors, and
-/// the batched scan re-ranks every survivor with the exact kernel.
-struct Bucket {
-    ids: Vec<u64>,
+/// One resident bucket's vectors, plus the packed GEMM panels and row
+/// norms batched serving reads, built on first batched access and
+/// dropped whenever the list changes. The block never affects results:
+/// it is a repack of the same vectors, and the batched scan re-ranks
+/// every survivor with the exact kernel.
+pub struct FlatRows {
     vectors: VectorSet,
     block: OnceLock<RowBlock>,
 }
 
-/// Where one read finds the buckets' rows.
-#[derive(Clone, Copy)]
-pub(crate) enum Rows<'a> {
-    /// In the pages, through the buffer manager.
-    Pages(&'a IvfPages, &'a BufferManager),
-    /// In memory.
-    Resident(&'a Resident),
-}
-
-/// A store's part of insert: put `(id, vector)` into bucket `b`.
-type Append<'a, S> = dyn FnMut(&mut S, usize, u64, &[f32]) -> Result<()> + 'a;
-
-/// The value of a resident build, insert or read, which reads and
-/// writes no page and so cannot fail.
-fn resident<T>(result: Result<T>) -> T {
-    // PANIC-OK: only page I/O returns errors, and resident rows have no pages.
-    result.unwrap_or_else(|e| unreachable!("resident rows reported {e}"))
-}
-
-impl Resident {
-    fn new(quantizer: &Kmeans) -> Resident {
-        let bucket = || Bucket {
-            ids: Vec::new(),
-            vectors: VectorSet::empty(quantizer.dim()),
+impl Codes for FlatRows {
+    fn empty(dim: usize) -> FlatRows {
+        FlatRows {
+            vectors: VectorSet::empty(dim),
             block: OnceLock::new(),
-        };
-        Resident((0..quantizer.k()).map(|_| bucket()).collect())
-    }
-
-    fn push(&mut self, b: usize, id: u64, v: &[f32]) -> Result<()> {
-        let bucket = &mut self.0[b];
-        bucket.ids.push(id);
-        bucket.vectors.push(v);
-        // The packed block describes the rows before this one.
-        bucket.block.take();
-        Ok(())
-    }
-}
-
-impl Paged {
-    fn append(&mut self, bm: &BufferManager, b: usize, id: u64, v: &[f32]) -> Result<()> {
-        self.pages.append(bm, b, id, as_bytes_f32(v))?;
-        match &mut self.resident {
-            Some(resident) => resident.push(b, id, v),
-            None => Ok(()),
         }
     }
+
+    fn push(&mut self, code: &[u8]) {
+        self.vectors.push(bytemuck_f32(code));
+        // The packed block describes the rows before this one.
+        self.block.take();
+    }
+
+    fn rows(&self, len: usize) -> impl Iterator<Item = &[u8]> {
+        as_bytes_f32(self.vectors.as_flat()).chunks_exact(len)
+    }
 }
 
-impl<S> IvfFlat<S> {
-    /// The trained coarse quantizer (e.g. to transplant its centroids
-    /// into the other engine).
-    pub fn quantizer(&self) -> &Kmeans {
-        &self.quantizer
+impl sealed::Codec for Flat {
+    type Params = ();
+    type Codes = FlatRows;
+
+    fn train(_: &GeneralizedOptions, _: (), sample: &VectorSet) -> Flat {
+        Flat(sample.dim())
     }
 
-    /// The trained centroids (e.g. for transplanting into Faiss* —
-    /// Figure 15).
-    pub fn centroids(&self) -> &VectorSet {
-        self.quantizer.centroids()
+    fn code_len(&self) -> usize {
+        std::mem::size_of::<f32>() * self.0
     }
 
-    /// The build-time `nprobe`, which a search that names none uses.
-    pub fn default_nprobe(&self) -> usize {
-        self.params.nprobe
+    fn encode<'v>(&self, v: &'v [f32]) -> Cow<'v, [u8]> {
+        Cow::Borrowed(as_bytes_f32(v))
+    }
+
+    fn scorer<'a>(
+        &'a self,
+        opts: &GeneralizedOptions,
+        query: &'a [f32],
+    ) -> impl Fn(&[u8]) -> f32 + 'a {
+        let (metric, kernel) = (opts.metric, opts.distance);
+        move |code| metric.distance_with(kernel, query, bytemuck_f32(code))
+    }
+
+    /// One fused [`simd::scan_into`].
+    fn scan(
+        &self,
+        opts: &GeneralizedOptions,
+        query: &[f32],
+        rows: &FlatRows,
+        ids: &[u64],
+        sink: &mut impl TopKSink,
+        scratch: &mut Vec<f32>,
+    ) {
+        let (metric, kernel, vectors) = (opts.metric, opts.distance, &rows.vectors);
+        simd::scan_into(metric, kernel, query, vectors, Some(ids), sink, scratch);
+    }
+}
+
+impl Paging for Flat {
+    const AM_NAME: &'static str = "ivfflat";
+
+    fn batch(
+        index: &PaseIvfFlatIndex,
+        bm: &BufferManager,
+        queries: &VectorSet,
+        ks: &[usize],
+        nprobe: usize,
+    ) -> Result<Vec<Vec<Neighbor>>> {
+        index.search_batch_gemm(bm, queries, ks, nprobe)
     }
 }
 
 impl<S: Sync> IvfFlat<S> {
-    /// Train on a sample of `data`, or take the given `centroids` (the
-    /// paper's Faiss* transplant, Figure 15), then add every row of
-    /// `data`, numbered by `ids` or by position, to the store `empty`
-    /// makes for them. Returns the paper's train/add timing split.
-    fn build_in(
-        opts: GeneralizedOptions,
-        params: IvfParams,
-        centroids: Option<VectorSet>,
-        ids: Option<&[u64]>,
-        data: &VectorSet,
-        empty: impl FnOnce(&Kmeans) -> Result<S>,
-        append: &mut Append<'_, S>,
-    ) -> Result<(Self, BuildTiming)> {
-        let t0 = Instant::now();
-        let quantizer = match centroids {
-            Some(centroids) => Kmeans::from_centroids(opts.kmeans, centroids),
-            None => {
-                assert!(!data.is_empty(), "cannot build IVF_FLAT over no vectors");
-                let sample =
-                    sample_indices(data.len(), params.sample_ratio, params.clusters, opts.seed);
-                let kmeans = KmeansParams {
-                    k: params.clusters,
-                    iters: opts.kmeans_iters,
-                    seed: opts.seed,
-                    gemm: opts.assignment_gemm.unwrap_or(GemmKernel::Naive),
-                };
-                Kmeans::train(opts.kmeans, &data.gather(&sample), &kmeans)
-            }
-        };
-        let train = t0.elapsed();
-        let t1 = Instant::now();
-        let mut index = IvfFlat {
-            store: empty(&quantizer)?,
-            opts,
-            params,
-            quantizer,
-            len: data.len(),
-        };
-        if let Some(ids) = ids {
-            assert_eq!(ids.len(), data.len(), "ids/data length mismatch");
-        }
-        let _t = profile::scoped(Category::IvfAdd);
-        for (i, b) in index.assign(data).into_iter().enumerate() {
-            let id = ids.map_or(i as u64, |ids| ids[i]);
-            append(&mut index.store, b as usize, id, data.row(i))?;
-        }
-        let add = t1.elapsed();
-        Ok((index, BuildTiming { train, add }))
-    }
-
-    /// The adding phase's assignment: each row's nearest centroid.
-    /// Without `assignment_gemm` (the PASE default) each row meets every
-    /// centroid in the scalar loop — the `fvec_L2sqr_ref` bottleneck of
-    /// §V-A; with it, rows go through a GEMM distance table (RC#1).
-    /// RC#3's `parallel` also decides the build: PASE's
-    /// `GlobalLockedHeap` builds serially, Faiss's `LocalHeapMerge`
-    /// shards the rows over `threads`.
-    fn assign(&self, data: &VectorSet) -> Vec<u32> {
-        let threads = match self.opts.parallel {
-            ParallelMode::GlobalLockedHeap => 1,
-            ParallelMode::LocalHeapMerge => self.opts.threads.max(1),
-        };
-        let d = data.dim();
-        let shards = map_chunks(data.len(), threads, |rows| {
-            match self.opts.assignment_gemm {
-                // A borrowed range of the flat matrix: no per-shard copy.
-                Some(gemm) => {
-                    let flat = &data.as_flat()[rows.start * d..rows.end * d];
-                    self.quantizer.assign_batch_flat(gemm, d, flat)
-                }
-                None => rows
-                    .map(|i| self.quantizer.nearest(self.opts.distance, data.row(i)).0 as u32)
-                    .collect(),
-            }
-        });
-        shards.concat()
-    }
-
-    /// Put `(id, v)` in the bucket of its nearest centroid (the scalar
-    /// kernel: one row has no batch to amortize a GEMM over).
-    fn insert_in(&mut self, id: u64, v: &[f32], append: &mut Append<'_, S>) -> Result<()> {
-        assert_eq!(v.len(), self.quantizer.dim(), "dimension mismatch");
-        let _t = profile::scoped(Category::IvfAdd);
-        let (b, _) = self.quantizer.nearest(self.opts.distance, v);
-        append(&mut self.store, b, id, v)?;
-        self.len += 1;
-        Ok(())
-    }
-
-    /// The `nprobe` buckets nearest `query`, best first: from the
-    /// centroid pages, or from the in-memory quantizer over resident rows.
-    pub(crate) fn probes(
-        &self,
-        rows: Rows<'_>,
-        query: &[f32],
-        nprobe: usize,
-    ) -> Result<Vec<usize>> {
-        match rows {
-            Rows::Pages(pages, bm) => {
-                pages.select_probes(bm, &self.opts, &self.quantizer, query, nprobe)
-            }
-            Rows::Resident(_) => Ok(self.opts.quantizer_probes(&self.quantizer, query, nprobe)),
-        }
-    }
-
-    /// Offer bucket `b`'s rows to `sink` at their distance to `query`,
-    /// only those whose id `filter` holds if one is given: one
-    /// [`IvfPages::scan`] through the pool, or one fused
-    /// [`simd::scan_into`] over resident rows, straight into the sink.
-    pub(crate) fn scan_bucket(
-        &self,
-        rows: Rows<'_>,
-        query: &[f32],
-        b: usize,
-        filter: Option<&SelectionBitmap>,
-        scratch: &mut ScanScratch,
-        sink: &mut impl TopKSink,
-    ) -> Result<()> {
-        let (metric, kernel) = (self.opts.metric, self.opts.distance);
-        let distance = |v: &[f32]| metric.distance_with(kernel, query, v);
-        let bucket = match rows {
-            Rows::Pages(pages, bm) => {
-                let distance = |payload: &[u8]| distance(bytemuck_f32(payload));
-                return pages.scan(bm, b, filter, scratch, distance, &mut |id, d| {
-                    sink.push(id, d)
-                });
-            }
-            Rows::Resident(resident) => &resident.0[b],
-        };
-        let Some(filter) = filter else {
-            let (vectors, ids) = (&bucket.vectors, Some(&bucket.ids[..]));
-            simd::scan_into(
-                metric,
-                kernel,
-                query,
-                vectors,
-                ids,
-                sink,
-                &mut scratch.distances,
-            );
-            return Ok(());
-        };
-        let rows = bucket.ids.iter().copied().zip(bucket.vectors.iter());
-        scratch.score(rows.filter(|&(id, _)| filter.contains(id)), distance);
-        scratch.flush(&mut |id, d| sink.push(id, d));
-        Ok(())
-    }
-
-    /// Each query's top `k` over its `nprobe` nearest buckets, over one
-    /// worker team: a round per query, workers scanning disjoint probe
-    /// partitions, merged as RC#3's [`ParallelMode`] says — PASE's shared
-    /// locked heap (every candidate takes the mutex) or the fixed
-    /// local-heap merge.
-    fn search_probed<'q>(
-        &self,
-        rows: Rows<'_>,
-        queries: impl Iterator<Item = &'q [f32]>,
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let batch = queries
-            .map(|q| Ok((q, self.probes(rows, q, nprobe)?)))
-            .collect::<Result<Vec<_>>>()?;
-        let mut out = Vec::with_capacity(batch.len());
-        self.opts.probe_search(
-            &batch,
-            k,
-            |q, b, scratch, sink| self.scan_bucket(rows, q, b, None, scratch, sink),
-            |r| out.push(r),
-        )?;
-        Ok(out)
-    }
-
-    /// One query's top `k` over its `nprobe` nearest buckets.
-    fn search_one(
-        &self,
-        rows: Rows<'_>,
-        q: &[f32],
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Neighbor>> {
-        assert_eq!(q.len(), self.quantizer.dim(), "dimension mismatch");
-        let found = self.search_probed(rows, std::iter::once(q), k, nprobe)?;
-        Ok(found.into_iter().next().unwrap_or_default())
-    }
-
-    /// Filtered top `k`: only rows whose id `filter` holds are scored.
-    /// Pre-filter skips probe selection and walks *every* bucket — the
-    /// analogue of a TID-qualified bitmap heap scan, exact under the
-    /// filter. Post-filter walks the `nprobe` probed buckets once. That
-    /// returns exactly what re-searching them with a growing `k'` would:
-    /// the candidate set does not grow with `k'`, and under
-    /// [`Neighbor`]'s total order (distance, then id) both keep its first
-    /// k passing candidates.
-    fn filtered(
-        &self,
-        rows: Rows<'_>,
-        query: &[f32],
-        k: usize,
-        filter: &SelectionBitmap,
-        strategy: FilterStrategy,
-        nprobe: usize,
-    ) -> Result<Vec<Neighbor>> {
-        if k == 0 || filter.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (buckets, mut collector) = match strategy {
-            FilterStrategy::PreFilter => (
-                (0..self.quantizer.k()).collect(),
-                TopKCollector::SizeK(KHeap::new(k)),
-            ),
-            FilterStrategy::PostFilter => (
-                self.probes(rows, query, nprobe)?,
-                self.opts.topk.collector(k),
-            ),
-        };
-        let mut scratch = ScanScratch::default();
-        for b in buckets {
-            self.scan_bucket(rows, query, b, Some(filter), &mut scratch, &mut collector)?;
-        }
-        Ok(collector.into_sorted())
-    }
-
     /// Batched serving (`vdb-serve`, RC#1 on the read path): a whole
     /// admission batch with per-query `k`, each query probing its
     /// `nprobe` nearest buckets, but each probed bucket read *once* for
     /// all of its active queries, through one `Q×B` GEMM distance table
     /// and an exact re-rank.
     ///
-    /// Bit-for-bit identical to [`search_one`](Self::search_one) per
-    /// query: probe selection is the same call, the re-rank uses the
-    /// same per-pair kernel, and the table only excludes pairs that
-    /// cannot enter a heap (see `vdb_serve::batch`). Non-L2 metrics fall
-    /// back to the serial path — the distance table is squared L2.
+    /// Bit-for-bit identical to one search per query: probe selection is
+    /// the same call, the re-rank uses the same per-pair kernel, and the
+    /// table only excludes pairs that cannot enter a heap (see
+    /// `vdb_serve::batch`). Non-L2 metrics fall back to the serial path —
+    /// the distance table is squared L2.
     fn batch_gemm(
         &self,
-        rows: Rows<'_>,
+        rows: &Rows<'_, Flat>,
         queries: &VectorSet,
         ks: &[usize],
         nprobe: usize,
     ) -> Result<Vec<Vec<Neighbor>>> {
         if !matches!(self.opts.metric, Metric::L2) || queries.len() != ks.len() {
-            let mut serial = queries.iter().zip(ks);
-            return serial.try_fold(Vec::new(), |mut out, (q, &k)| {
-                out.push(self.search_one(rows, q, k, nprobe)?);
-                Ok(out)
-            });
+            return self.serial(rows, queries, ks, nprobe);
         }
         let probes = queries
             .iter()
@@ -430,17 +168,17 @@ impl<S: Sync> IvfFlat<S> {
         for &b in &order {
             match rows {
                 Rows::Resident(resident) => {
-                    let bucket = &resident.0[b];
-                    let flat = bucket.vectors.as_flat();
+                    let Bucket { ids, codes } = &resident.0[b];
+                    let flat = codes.vectors.as_flat();
                     // Packed once, reused by every batch until the bucket changes.
-                    let d = bucket.vectors.dim();
-                    let block = bucket.block.get_or_init(|| RowBlock::build(flat, d));
+                    let d = codes.vectors.dim();
+                    let block = codes.block.get_or_init(|| RowBlock::build(flat, d));
                     scan_block_cached(
                         &qb,
                         &active[b],
                         block,
                         flat,
-                        &bucket.ids,
+                        ids,
                         &mut exact,
                         &mut heaps,
                         &mut scratch,
@@ -496,65 +234,7 @@ impl IvfFlat<Paged> {
         ids: Option<&[u64]>,
         data: &VectorSet,
     ) -> Result<(PaseIvfFlatIndex, BuildTiming)> {
-        let empty = |quantizer: &Kmeans| {
-            let pages = IvfPages::create(bm, quantizer.centroids())?;
-            Ok(Paged {
-                pages,
-                resident: None,
-            })
-        };
-        let append = &mut |store: &mut Paged, b, id, v: &[f32]| store.append(bm, b, id, v);
-        let (mut index, mut timing) = Self::build_in(opts, params, None, ids, data, empty, append)?;
-        if opts.memory_optimized {
-            let t = Instant::now();
-            let mut resident = Resident::new(&index.quantizer);
-            for (b, bucket) in resident.0.iter_mut().enumerate() {
-                index.store.pages.visit(bm, b, |id, payload| {
-                    bucket.ids.push(id);
-                    bucket.vectors.push(bytemuck_f32(payload));
-                })?;
-            }
-            index.store.resident = Some(resident);
-            timing.add += t.elapsed();
-        }
-        Ok((index, timing))
-    }
-
-    /// Where a read through `bm` finds the rows: the resident copy once
-    /// there is one, else the pages.
-    pub(crate) fn rows<'a>(&'a self, bm: &'a BufferManager) -> Rows<'a> {
-        match &self.store.resident {
-            Some(resident) => Rows::Resident(resident),
-            None => Rows::Pages(&self.store.pages, bm),
-        }
-    }
-
-    /// Per-bucket tuple counts.
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.store.pages.bucket_sizes()
-    }
-
-    /// Search with an explicit `nprobe` (Figure 19 sweeps this).
-    pub fn search_with_nprobe(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Neighbor>> {
-        self.search_one(self.rows(bm), query, k, nprobe)
-    }
-
-    /// Batch search with intra-query parallelism (see [`ParallelMode`]):
-    /// one round per query over one worker team.
-    pub fn search_batch_with_nprobe(
-        &self,
-        bm: &BufferManager,
-        queries: &VectorSet,
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        self.search_probed(self.rows(bm), queries.iter(), k, nprobe)
+        Self::build_paged(opts, params, (), bm, ids, data)
     }
 
     /// Batched serving: each probed bucket read once per batch, results
@@ -566,74 +246,11 @@ impl IvfFlat<Paged> {
         ks: &[usize],
         nprobe: usize,
     ) -> Result<Vec<Vec<Neighbor>>> {
-        self.batch_gemm(self.rows(bm), queries, ks, nprobe)
+        self.batch_gemm(&self.rows(bm), queries, ks, nprobe)
     }
 }
 
-impl PaseIndex for IvfFlat<Paged> {
-    fn am_name(&self) -> &'static str {
-        "ivfflat"
-    }
-
-    fn scan(&self, bm: &BufferManager, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.search_with_nprobe(bm, query, k, self.params.nprobe)
-    }
-
-    fn scan_with_knob(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        k: usize,
-        knob: Option<usize>,
-    ) -> Result<Vec<Neighbor>> {
-        self.search_with_nprobe(bm, query, k, knob.unwrap_or(self.params.nprobe))
-    }
-
-    fn scan_batch(
-        &self,
-        bm: &BufferManager,
-        queries: &VectorSet,
-        ks: &[usize],
-        knob: Option<usize>,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        self.search_batch_gemm(bm, queries, ks, knob.unwrap_or(self.params.nprobe))
-    }
-
-    fn insert(&mut self, bm: &BufferManager, id: u64, vector: &[f32]) -> Result<()> {
-        self.insert_in(id, vector, &mut |store, b, id, v| {
-            store.append(bm, b, id, v)
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whole centroid and data pages.
-    fn size_bytes(&self, bm: &BufferManager) -> usize {
-        self.store.pages.size_bytes(bm)
-    }
-
-    fn dim(&self) -> usize {
-        self.quantizer.dim()
-    }
-
-    fn scan_filtered(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        k: usize,
-        filter: &SelectionBitmap,
-        strategy: FilterStrategy,
-        knob: Option<usize>,
-    ) -> Result<Vec<Neighbor>> {
-        let nprobe = knob.unwrap_or(self.params.nprobe);
-        self.filtered(self.rows(bm), query, k, filter, strategy, nprobe)
-    }
-}
-
-/// The specialized engine's IVF_FLAT API: the core over [`Resident`]
-/// buckets, with ids numbered by insertion order.
+/// The specialized engine's IVF_FLAT API.
 impl IvfFlat<Resident> {
     /// Train on a sample of `data`, then add every row.
     pub fn build(
@@ -641,7 +258,7 @@ impl IvfFlat<Resident> {
         params: IvfParams,
         data: &VectorSet,
     ) -> (Self, BuildTiming) {
-        Self::build_resident(opts.into(), params, None, data)
+        Self::build_resident(opts.into(), params, (), None, data)
     }
 
     /// Add every row of `data` to the buckets of the given `centroids` —
@@ -653,56 +270,7 @@ impl IvfFlat<Resident> {
         centroids: VectorSet,
         data: &VectorSet,
     ) -> (Self, BuildTiming) {
-        Self::build_resident(opts.into(), params, Some(centroids), data)
-    }
-
-    fn build_resident(
-        opts: GeneralizedOptions,
-        params: IvfParams,
-        centroids: Option<VectorSet>,
-        data: &VectorSet,
-    ) -> (Self, BuildTiming) {
-        let empty = |quantizer: &Kmeans| Ok(Resident::new(quantizer));
-        let append = &mut |store: &mut Resident, b, id, v: &[f32]| store.push(b, id, v);
-        resident(Self::build_in(
-            opts, params, centroids, None, data, empty, append,
-        ))
-    }
-
-    /// Insert one vector; its id is its insertion order, matching the
-    /// build's numbering, so batch-built and streamed indexes agree.
-    pub fn insert(&mut self, v: &[f32]) -> u64 {
-        let id = self.len as u64;
-        resident(self.insert_in(id, v, &mut |store, b, id, v| store.push(b, id, v)));
-        id
-    }
-
-    /// Number of rows held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no row is held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Per-bucket occupancy (for inspecting clustering balance).
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.store.0.iter().map(|b| b.ids.len()).collect()
-    }
-
-    /// Search with an explicit `nprobe`, overriding the configured one.
-    pub fn search_with_nprobe(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<Neighbor> {
-        resident(self.search_one(Rows::Resident(&self.store), query, k, nprobe))
-    }
-
-    /// Batch search: one round per query over a persistent worker team.
-    /// This is the intra-query parallelism of the paper's Figure 18 —
-    /// per-thread local heaps over a probe partition, merged lock-free —
-    /// without paying a thread spawn per query.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, nprobe: usize) -> Vec<Vec<Neighbor>> {
-        resident(self.search_probed(Rows::Resident(&self.store), queries.iter(), k, nprobe))
+        Self::build_resident(opts.into(), params, (), Some(centroids), data)
     }
 
     /// Batched serving: each probed bucket read once per batch from its
@@ -714,37 +282,22 @@ impl IvfFlat<Resident> {
         ks: &[usize],
         nprobe: usize,
     ) -> Vec<Vec<Neighbor>> {
-        resident(self.batch_gemm(Rows::Resident(&self.store), queries, ks, nprobe))
-    }
-
-    /// Filtered top `k` at the build-time `nprobe`.
-    pub fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &SelectionBitmap,
-        strategy: FilterStrategy,
-    ) -> Vec<Neighbor> {
-        let (rows, nprobe) = (Rows::Resident(&self.store), self.params.nprobe);
-        resident(self.filtered(rows, query, k, filter, strategy, nprobe))
-    }
-
-    /// Centroids plus per-bucket ids and raw vectors — the flat memory
-    /// layout whose size Figure 11 shows matching PASE's paged layout.
-    pub fn size_bytes(&self) -> usize {
-        let rows = self.store.0.iter().map(|b| {
-            std::mem::size_of_val(b.vectors.as_flat()) + std::mem::size_of_val(&b.ids[..])
-        });
-        std::mem::size_of_val(self.quantizer.centroids().as_flat()) + rows.sum::<usize>()
+        resident(self.batch_gemm(&self.rows(), queries, ks, nprobe))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_am::PaseIndex;
+    use crate::ivf::resident;
+    use crate::ivf_pq::{PaseIvfPqIndex, Pq};
     use std::sync::Arc;
     use vdb_datagen::gaussian::generate;
+    use vdb_filter::{FilterStrategy, SelectionBitmap};
     use vdb_storage::{DiskManager, PageSize};
+    use vdb_vecmath::rng::Rng;
+    use vdb_vecmath::{DistanceKernel, PqParams};
 
     fn setup() -> (BufferManager, VectorSet) {
         let disk = Arc::new(DiskManager::new(PageSize::Size8K));
@@ -870,125 +423,189 @@ mod tests {
         found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
     }
 
-    /// The three stores return the same neighbors, bit for bit, through
-    /// every entry point (serial, batch, batch-GEMM and both filtered
-    /// strategies) under each metric (every store ranks the centroids by
-    /// it) on random queries, `k` and `nprobe`, after random
-    /// inserts that leave partly filled tail pages: the pages through the
-    /// pool, the same index reading its resident copy (RC#2's fix), and
-    /// the core over resident buckets alone, given the paged index's
-    /// centroids. At full probe all equal brute force over every row,
-    /// which also checks the copy that one walk of the pages read.
+    /// The three stores return the same neighbors, bit for bit, for
+    /// either codec (the raw vector or a PQ code) through every entry
+    /// point (serial, batch, the batch serve path and both filtered
+    /// strategies) under each metric (every store ranks the centroids
+    /// by it) and distance kernel, on random queries, `k` and `nprobe`,
+    /// after random inserts that leave partly filled tail pages: the
+    /// pages through the pool, the same index reading its resident copy
+    /// (RC#2's fix), and the core over resident buckets alone, given the
+    /// paged index's centroids (IVF_FLAT) or trained alike (IVF_PQ). At
+    /// full probe all equal brute force over every row, scored by an
+    /// oracle outside the codec (the metric over the raw vector, or the
+    /// ADC of the row's PQ code), which also checks the copy the appends
+    /// filled.
     #[test]
     fn memory_optimized_gives_identical_results() {
-        vdb_vecmath::rng::cases("memory_optimized_gives_identical_results", 24, |rng| {
-            let (bm, mut data) = setup();
-            let paged = GeneralizedOptions {
+        vdb_vecmath::rng::cases("memory_optimized_gives_identical_results", 48, |rng| {
+            let opts = GeneralizedOptions {
                 metric: rng.pick(&[Metric::L2, Metric::InnerProduct, Metric::Cosine]),
+                distance: rng.pick(&[DistanceKernel::Reference, DistanceKernel::Optimized]),
                 ..GeneralizedOptions::default()
             };
-            let cached = GeneralizedOptions {
-                memory_optimized: true,
-                ..paged
-            };
-            let (mut a, _) = PaseIvfFlatIndex::build(paged, small_params(), &bm, &data).unwrap();
-            let (mut b, _) = PaseIvfFlatIndex::build(cached, small_params(), &bm, &data).unwrap();
-            let (mut c, _) = IvfFlat::<Resident>::with_centroids(
-                paged,
-                small_params(),
-                a.centroids().clone(),
-                &data,
-            );
-            let near = |rng: &mut vdb_vecmath::rng::Rng, data: &VectorSet| -> Vec<f32> {
-                let row = data.row(rng.range_usize(0..data.len()));
-                row.iter().map(|x| x + rng.range_f32(-0.5..0.5)).collect()
-            };
-            for _ in 0..rng.range_usize(0..60) {
-                let v = near(rng, &data);
-                let id = data.len() as u64;
-                a.insert(&bm, id, &v).unwrap();
-                b.insert(&bm, id, &v).unwrap();
-                assert_eq!(c.insert(&v), id);
-                data.push(&v);
+            let params = small_params();
+            if rng.bool() {
+                identical_results(
+                    rng,
+                    opts,
+                    |opts, bm, data| PaseIvfFlatIndex::build(opts, params, bm, data),
+                    |a, data| {
+                        let centroids = a.centroids().clone();
+                        IvfFlat::<Resident>::with_centroids(opts, params, centroids, data).0
+                    },
+                    |c, queries, ks, nprobe| c.search_batch_gemm(queries, ks, nprobe),
+                    |_, queries, data| {
+                        let (metric, kernel) = (opts.metric, opts.distance);
+                        let row = |q| {
+                            data.iter()
+                                .map(|v| metric.distance_with(kernel, q, v))
+                                .collect()
+                        };
+                        queries.iter().map(row).collect()
+                    },
+                );
+            } else {
+                let pq = PqParams { m: 8, cpq: 16 };
+                identical_results(
+                    rng,
+                    opts,
+                    |opts, bm, data| PaseIvfPqIndex::build(opts, params, pq, bm, data),
+                    |_, data| {
+                        let mode = opts.pq_table;
+                        Ivf::<Resident<Pq>, Pq>::build_with_table_mode(opts, params, pq, mode, data)
+                            .0
+                    },
+                    |c, queries, ks, nprobe| resident(c.serial(&c.rows(), queries, ks, nprobe)),
+                    |a, queries, data| {
+                        let pq = a.pq();
+                        let codes: Vec<Vec<u8>> = data.iter().map(|v| pq.encode(v)).collect();
+                        let row = |q| {
+                            let table = pq.adc_table(opts.pq_table, q);
+                            let adc = |code: &Vec<u8>| match opts.distance {
+                                DistanceKernel::Reference => pq.adc_distance(&table, code),
+                                DistanceKernel::Optimized => pq.adc_distance_unrolled(&table, code),
+                            };
+                            codes.iter().map(adc).collect()
+                        };
+                        queries.iter().map(row).collect()
+                    },
+                );
             }
-            assert_eq!(a.bucket_sizes(), c.bucket_sizes());
-            let mut filter = SelectionBitmap::new();
-            for id in 0..data.len() as u64 {
-                if rng.range_usize(0..4) == 0 {
-                    filter.insert(id);
-                }
-            }
-            let mut queries = VectorSet::empty(data.dim());
-            let mut ks = Vec::new();
-            let nprobe = rng.range_usize(1..17);
-            for _ in 0..4 {
-                let q = near(rng, &data);
-                let k = rng.range_usize(1..40);
-                let pair = |idx: &PaseIvfFlatIndex| {
-                    bits(&idx.search_with_nprobe(&bm, &q, k, nprobe).unwrap())
-                };
-                let serial = pair(&a);
-                assert_eq!(serial, pair(&b), "unfiltered k={k} nprobe={nprobe}");
-                assert_eq!(serial, bits(&c.search_with_nprobe(&q, k, nprobe)));
-                for strategy in [FilterStrategy::PreFilter, FilterStrategy::PostFilter] {
-                    let filtered = |idx: &PaseIvfFlatIndex, knob| {
-                        bits(
-                            &idx.scan_filtered(&bm, &q, k, &filter, strategy, knob)
-                                .unwrap(),
-                        )
-                    };
-                    let why = format!("{strategy:?} k={k} nprobe={nprobe}");
-                    assert_eq!(
-                        filtered(&a, Some(nprobe)),
-                        filtered(&b, Some(nprobe)),
-                        "{why}"
-                    );
-                    // The resident core filters at the build-time nprobe.
-                    assert_eq!(
-                        filtered(&a, None),
-                        bits(&c.search_filtered(&q, k, &filter, strategy)),
-                        "{why}"
-                    );
-                }
-                // Full probe: brute force over every row, base and inserted.
-                let mut oracle: Vec<Neighbor> = data
-                    .iter()
-                    .enumerate()
-                    .map(|(id, v)| {
-                        Neighbor::new(id as u64, paged.metric.distance_with(paged.distance, &q, v))
-                    })
-                    .collect();
-                oracle.sort_unstable();
-                oracle.truncate(k);
-                for idx in [&a, &b] {
-                    assert_eq!(
-                        bits(&idx.search_with_nprobe(&bm, &q, k, 16).unwrap()),
-                        bits(&oracle)
-                    );
-                }
-                assert_eq!(bits(&c.search_with_nprobe(&q, k, 16)), bits(&oracle));
-                queries.push(&q);
-                ks.push(k);
-            }
-            let all = |found: Vec<Vec<Neighbor>>| -> Vec<Vec<(u64, u32)>> {
-                found.iter().map(|r| bits(r)).collect()
-            };
-            let gemm = |idx: &PaseIvfFlatIndex| {
-                all(idx.scan_batch(&bm, &queries, &ks, Some(nprobe)).unwrap())
-            };
-            let want = gemm(&a);
-            assert_eq!(want, gemm(&b), "batch-GEMM nprobe={nprobe}");
-            assert_eq!(want, all(c.search_batch_gemm(&queries, &ks, nprobe)));
-            let k = ks[0];
-            let batch = |idx: &PaseIvfFlatIndex| {
-                all(idx
-                    .search_batch_with_nprobe(&bm, &queries, k, nprobe)
-                    .unwrap())
-            };
-            let want = batch(&a);
-            assert_eq!(want, batch(&b), "batch k={k} nprobe={nprobe}");
-            assert_eq!(want, all(c.search_batch(&queries, k, nprobe)));
         });
+    }
+
+    /// One case of [`memory_optimized_gives_identical_results`] for the
+    /// codec `C`: `build` makes a paged index, `resident` the resident
+    /// one beside it, `batch` serves a batch from the resident one, and
+    /// `oracle` gives each query's distance to every row under the paged
+    /// index's codec.
+    fn identical_results<C: Paging>(
+        rng: &mut Rng,
+        paged: GeneralizedOptions,
+        build: impl Fn(
+            GeneralizedOptions,
+            &BufferManager,
+            &VectorSet,
+        ) -> Result<(Ivf<Paged<C>, C>, BuildTiming)>,
+        resident: impl Fn(&Ivf<Paged<C>, C>, &VectorSet) -> Ivf<Resident<C>, C>,
+        batch: impl Fn(&Ivf<Resident<C>, C>, &VectorSet, &[usize], usize) -> Vec<Vec<Neighbor>>,
+        oracle: impl Fn(&Ivf<Paged<C>, C>, &VectorSet, &VectorSet) -> Vec<Vec<f32>>,
+    ) {
+        let (bm, mut data) = setup();
+        let cached = GeneralizedOptions {
+            memory_optimized: true,
+            ..paged
+        };
+        let (mut a, _) = build(paged, &bm, &data).unwrap();
+        let (mut b, _) = build(cached, &bm, &data).unwrap();
+        let mut c = resident(&a, &data);
+        let near = |rng: &mut Rng, data: &VectorSet| -> Vec<f32> {
+            let row = data.row(rng.range_usize(0..data.len()));
+            row.iter().map(|x| x + rng.range_f32(-0.5..0.5)).collect()
+        };
+        for _ in 0..rng.range_usize(0..60) {
+            let v = near(rng, &data);
+            let id = data.len() as u64;
+            a.insert(&bm, id, &v).unwrap();
+            b.insert(&bm, id, &v).unwrap();
+            assert_eq!(c.insert(&v), id);
+            data.push(&v);
+        }
+        assert_eq!(a.bucket_sizes(), c.bucket_sizes());
+        let mut filter = SelectionBitmap::new();
+        for id in 0..data.len() as u64 {
+            if rng.range_usize(0..4) == 0 {
+                filter.insert(id);
+            }
+        }
+        let mut queries = VectorSet::empty(data.dim());
+        let mut ks = Vec::new();
+        let nprobe = rng.range_usize(1..17);
+        for _ in 0..4 {
+            let q = near(rng, &data);
+            let k = rng.range_usize(1..40);
+            let pair =
+                |idx: &Ivf<Paged<C>, C>| bits(&idx.search_with_nprobe(&bm, &q, k, nprobe).unwrap());
+            let serial = pair(&a);
+            assert_eq!(serial, pair(&b), "unfiltered k={k} nprobe={nprobe}");
+            assert_eq!(serial, bits(&c.search_with_nprobe(&q, k, nprobe)));
+            for strategy in [FilterStrategy::PreFilter, FilterStrategy::PostFilter] {
+                let filtered = |idx: &Ivf<Paged<C>, C>, knob| {
+                    bits(
+                        &idx.scan_filtered(&bm, &q, k, &filter, strategy, knob)
+                            .unwrap(),
+                    )
+                };
+                let why = format!("{strategy:?} k={k} nprobe={nprobe}");
+                assert_eq!(
+                    filtered(&a, Some(nprobe)),
+                    filtered(&b, Some(nprobe)),
+                    "{why}"
+                );
+                // The resident core filters at the build-time nprobe.
+                assert_eq!(
+                    filtered(&a, None),
+                    bits(&c.search_filtered(&q, k, &filter, strategy)),
+                    "{why}"
+                );
+            }
+            queries.push(&q);
+            ks.push(k);
+        }
+        // Full probe: brute force over every row, base and inserted.
+        for ((q, &k), distances) in queries.iter().zip(&ks).zip(oracle(&a, &queries, &data)) {
+            let distances = distances.into_iter().enumerate();
+            let mut oracle: Vec<Neighbor> = distances
+                .map(|(id, d)| Neighbor::new(id as u64, d))
+                .collect();
+            oracle.sort_unstable();
+            oracle.truncate(k);
+            for idx in [&a, &b] {
+                assert_eq!(
+                    bits(&idx.search_with_nprobe(&bm, q, k, 16).unwrap()),
+                    bits(&oracle)
+                );
+            }
+            assert_eq!(bits(&c.search_with_nprobe(q, k, 16)), bits(&oracle));
+        }
+        let all = |found: Vec<Vec<Neighbor>>| -> Vec<Vec<(u64, u32)>> {
+            found.iter().map(|r| bits(r)).collect()
+        };
+        let served =
+            |idx: &Ivf<Paged<C>, C>| all(idx.scan_batch(&bm, &queries, &ks, Some(nprobe)).unwrap());
+        let want = served(&a);
+        assert_eq!(want, served(&b), "batch serve nprobe={nprobe}");
+        assert_eq!(want, all(batch(&c, &queries, &ks, nprobe)));
+        let k = ks[0];
+        let probed = |idx: &Ivf<Paged<C>, C>| {
+            all(idx
+                .search_batch_with_nprobe(&bm, &queries, k, nprobe)
+                .unwrap())
+        };
+        let want = probed(&a);
+        assert_eq!(want, probed(&b), "batch k={k} nprobe={nprobe}");
+        assert_eq!(want, all(c.search_batch(&queries, k, nprobe)));
     }
 
     #[test]

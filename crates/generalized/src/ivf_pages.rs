@@ -5,9 +5,9 @@
 //! of data pages whose tuples are `[id u64 | payload]`: the raw vector
 //! for IVF_FLAT, the PQ code for IVF_PQ. Each data page's special space
 //! links the chain as `[next_block u32][bucket u32]`. [`IvfPages`] owns
-//! that layout: appending, probe selection over the centroid pages, and
-//! the one chain walk that every search, batch and cache build reads
-//! through.
+//! that layout (plus the codec's own relation, PQ's codebooks):
+//! appending, probe selection over the centroid pages, and the one chain
+//! walk that every paged search and batch reads through.
 //!
 //! [`IvfPages::scan`] reads each page once, taking its tuples in storage
 //! order ([`Page::item_ranges`]), in the phases the paper's Table V
@@ -22,7 +22,7 @@ use vdb_profile::{self as profile, Category};
 use vdb_storage::heap::{as_bytes_f32, bytemuck_f32};
 use vdb_storage::tuple::{decode_u32_at, decode_u64_at};
 use vdb_storage::{BufferManager, Page, RelId, Result};
-use vdb_vecmath::{Kmeans, VectorSet};
+use vdb_vecmath::VectorSet;
 
 /// Sentinel "no next page" block number in the page chain.
 const NO_NEXT: u32 = u32::MAX;
@@ -45,6 +45,8 @@ struct BucketChain {
 pub(crate) struct IvfPages {
     centroid_rel: RelId,
     data_rel: RelId,
+    /// The codec's own relation (PQ's codebooks), if it has one.
+    meta_rel: Option<RelId>,
     chains: Vec<Option<BucketChain>>,
 }
 
@@ -82,22 +84,27 @@ impl ScanScratch {
 }
 
 impl IvfPages {
-    /// Write `centroids` into a fresh centroid relation and create an
-    /// empty data relation with one (empty) chain per centroid.
-    pub(crate) fn create(bm: &BufferManager, centroids: &VectorSet) -> Result<IvfPages> {
+    /// Write `centroids` into a fresh centroid relation, create an empty
+    /// data relation with one (empty) chain per centroid, and write the
+    /// `meta` rows, if any, into a relation of their own.
+    pub(crate) fn create(
+        bm: &BufferManager,
+        centroids: &VectorSet,
+        meta: Vec<&[u8]>,
+    ) -> Result<IvfPages> {
         let centroid_rel = bm.disk().create_relation();
         let data_rel = bm.disk().create_relation();
         write_pages(bm, centroid_rel, centroids.iter().map(as_bytes_f32))?;
+        let meta_rel = (!meta.is_empty()).then(|| bm.disk().create_relation());
+        if let Some(rel) = meta_rel {
+            write_pages(bm, rel, meta)?;
+        }
         Ok(IvfPages {
             centroid_rel,
             data_rel,
+            meta_rel,
             chains: vec![None; centroids.len()],
         })
-    }
-
-    /// Number of buckets.
-    pub(crate) fn buckets(&self) -> usize {
-        self.chains.len()
     }
 
     /// Per-bucket tuple counts.
@@ -113,9 +120,10 @@ impl IvfPages {
         bm.disk().relation_bytes(self.data_rel)
     }
 
-    /// Bytes of the centroid and data relations.
+    /// Bytes of the centroid, data and meta relations.
     pub(crate) fn size_bytes(&self, bm: &BufferManager) -> usize {
-        bm.disk().relation_bytes(self.centroid_rel) + self.data_bytes(bm)
+        let meta = self.meta_rel.map_or(0, |rel| bm.disk().relation_bytes(rel));
+        bm.disk().relation_bytes(self.centroid_rel) + self.data_bytes(bm) + meta
     }
 
     /// Append one `[id | payload]` tuple to bucket `b`'s page chain.
@@ -171,19 +179,14 @@ impl IvfPages {
     }
 
     /// Select the `nprobe` buckets whose centroids are nearest `query`,
-    /// reading the centroid pages through the buffer manager, or asking
-    /// the in-memory `quantizer` when memory-optimized (RC#2 fix).
+    /// reading the centroid pages through the buffer manager.
     pub(crate) fn select_probes(
         &self,
         bm: &BufferManager,
         opts: &GeneralizedOptions,
-        quantizer: &Kmeans,
         query: &[f32],
         nprobe: usize,
     ) -> Result<Vec<usize>> {
-        if opts.memory_optimized {
-            return Ok(opts.quantizer_probes(quantizer, query, nprobe));
-        }
         let mut dists: Vec<(usize, f32)> = Vec::with_capacity(self.chains.len());
         for blk in 0..bm.disk().nblocks(self.centroid_rel) as u32 {
             bm.with_page(self.centroid_rel, blk, |p| {
@@ -306,7 +309,7 @@ impl IvfPages {
 
 /// Write `rows` into sequential pages of `rel`, one tuple per row, each
 /// page filled before the next is started (centroid and codebook pages).
-pub(crate) fn write_pages<'a>(
+fn write_pages<'a>(
     bm: &BufferManager,
     rel: RelId,
     rows: impl IntoIterator<Item = &'a [u8]>,

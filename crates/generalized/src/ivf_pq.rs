@@ -1,46 +1,112 @@
-//! PASE's IVF_PQ: the paged IVF structure with PQ-coded tuples.
+//! IVF_PQ: the IVF core ([`crate::ivf`]) with `m`-byte PQ codes, for
+//! both engines.
 //!
-//! The same pages as IVF_FLAT (`ivf_pages`), but data-page
-//! tuples hold `m`-byte PQ codes instead of raw vectors, and each query
-//! first materializes an ADC precomputed table. PASE computes that table
-//! the straightforward way — full subtract-square distances per entry,
-//! every query — which is the paper's **RC#7** (§VII-B); the optimized
-//! Faiss construction is one options flip away.
+//! The same pages as IVF_FLAT, but data-page tuples hold PQ codes
+//! instead of raw vectors, the codebooks get a relation of their own, and
+//! each query first materializes an ADC precomputed table. PASE computes
+//! that table the straightforward way — full subtract-square distances
+//! per entry, every query — which is the paper's **RC#7** (§VII-B); the
+//! optimized Faiss construction is one options flip away
+//! (`pq_table`). The specialized engine's `IvfPqIndex` is the core over
+//! resident buckets.
 
-use crate::index_am::PaseIndex;
-use crate::ivf_pages::{write_pages, IvfPages, ScanScratch};
+use crate::ivf::{sealed, Ivf, Paged, Paging, Resident};
 use crate::options::GeneralizedOptions;
-use std::time::Instant;
-use vdb_profile::{self as profile, Category};
+use std::borrow::Cow;
+use vdb_gemm::GemmKernel;
 use vdb_storage::heap::as_bytes_f32;
-use vdb_storage::{BufferManager, RelId, Result};
-use vdb_vecmath::sampling::sample_indices;
+use vdb_storage::{BufferManager, Result};
 use vdb_vecmath::{
-    BuildTiming, IvfParams, Kmeans, KmeansParams, Neighbor, PqParams, ProductQuantizer, TopKSink,
+    BuildTiming, DistanceKernel, IvfParams, KmeansParams, PqParams, PqTableMode, ProductQuantizer,
     VectorSet,
 };
 
-/// RC#2 fix: direct-array mirror of one bucket's codes.
-struct BucketCache {
-    ids: Vec<u64>,
-    codes: Vec<u8>,
+/// The PQ code of each row, scored through the query's ADC table.
+pub struct Pq(ProductQuantizer);
+
+/// The generalized IVF_PQ index: the core over PASE's pages.
+pub type PaseIvfPqIndex = Ivf<Paged<Pq>, Pq>;
+
+impl sealed::Codec for Pq {
+    type Params = PqParams;
+    type Codes = Vec<u8>;
+
+    /// Codebooks from the coarse quantizer's sample, with fewer
+    /// iterations and a seed of their own.
+    fn train(opts: &GeneralizedOptions, params: PqParams, sample: &VectorSet) -> Pq {
+        let kmeans = KmeansParams {
+            k: params.cpq,
+            iters: opts.kmeans_iters.min(8),
+            seed: opts.seed ^ 0x9E3779B9,
+            gemm: opts.assignment_gemm.unwrap_or(GemmKernel::Naive),
+        };
+        Pq(ProductQuantizer::train(
+            sample,
+            params.m,
+            params.cpq,
+            opts.kmeans,
+            &kmeans,
+        ))
+    }
+
+    fn code_len(&self) -> usize {
+        self.0.code_len()
+    }
+
+    fn encode<'v>(&self, v: &'v [f32]) -> Cow<'v, [u8]> {
+        Cow::Owned(self.0.encode(v))
+    }
+
+    /// RC#7: the table construction comes from the options.
+    fn prepare<'q>(&self, opts: &GeneralizedOptions, query: &'q [f32]) -> Cow<'q, [f32]> {
+        Cow::Owned(self.0.adc_table(opts.pq_table, query))
+    }
+
+    fn scorer<'a>(
+        &'a self,
+        opts: &GeneralizedOptions,
+        table: &'a [f32],
+    ) -> impl Fn(&[u8]) -> f32 + 'a {
+        let (pq, kernel) = (&self.0, opts.distance);
+        move |code| match kernel {
+            DistanceKernel::Reference => pq.adc_distance(table, code),
+            DistanceKernel::Optimized => pq.adc_distance_unrolled(table, code),
+        }
+    }
+
+    fn extra_bytes(&self) -> usize {
+        self.0.codebook_bytes()
+    }
 }
 
-/// The generalized IVF_PQ index.
-pub struct PaseIvfPqIndex {
-    opts: GeneralizedOptions,
-    params: IvfParams,
-    pq_params: PqParams,
-    dim: usize,
-    quantizer: Kmeans,
-    pq: ProductQuantizer,
-    pages: IvfPages,
-    codebook_rel: RelId,
-    len: usize,
-    cache: Option<Vec<BucketCache>>,
+impl Paging for Pq {
+    const AM_NAME: &'static str = "ivfpq";
+
+    /// One tuple per codeword.
+    fn meta(&self) -> Vec<&[u8]> {
+        let (pq, cpq) = (&self.0, self.0.cpq());
+        let codewords = (0..pq.m()).flat_map(|sub| (0..cpq).map(move |j| pq.codeword(sub, j)));
+        codewords.map(as_bytes_f32).collect()
+    }
 }
 
-impl PaseIvfPqIndex {
+impl<S> Ivf<S, Pq> {
+    /// The product quantizer.
+    pub fn pq(&self) -> &ProductQuantizer {
+        &self.codec.0
+    }
+
+    /// The PQ parameters the index was built with.
+    pub fn pq_params(&self) -> PqParams {
+        let pq = self.pq();
+        PqParams {
+            m: pq.m(),
+            cpq: pq.cpq(),
+        }
+    }
+}
+
+impl Ivf<Paged<Pq>, Pq> {
     /// Train coarse centroids and PQ codebooks on a sample, write their
     /// pages, then encode and add every vector.
     pub fn build(
@@ -62,262 +128,47 @@ impl PaseIvfPqIndex {
         ids: Option<&[u64]>,
         data: &VectorSet,
     ) -> Result<(PaseIvfPqIndex, BuildTiming)> {
-        assert!(!data.is_empty(), "cannot build IVF_PQ over no vectors");
-        if let Some(ids) = ids {
-            assert_eq!(ids.len(), data.len(), "ids/data length mismatch");
-        }
-        let t0 = Instant::now();
-        let sample_idx =
-            sample_indices(data.len(), params.sample_ratio, params.clusters, opts.seed);
-        let sample = data.gather(&sample_idx);
-        let gemm = opts.assignment_gemm.unwrap_or(vdb_gemm::GemmKernel::Naive);
-        let quantizer = Kmeans::train(
-            opts.kmeans,
-            &sample,
-            &KmeansParams {
-                k: params.clusters,
-                iters: opts.kmeans_iters,
-                seed: opts.seed,
-                gemm,
-            },
-        );
-        let pq = ProductQuantizer::train(
-            &sample,
-            pq_params.m,
-            pq_params.cpq,
-            opts.kmeans,
-            &KmeansParams {
-                k: pq_params.cpq,
-                iters: opts.kmeans_iters.min(8),
-                seed: opts.seed ^ 0x9E3779B9,
-                gemm,
-            },
-        );
-        let train = t0.elapsed();
-
-        let t1 = Instant::now();
-        let pages = IvfPages::create(bm, quantizer.centroids())?;
-        // The PQ codebooks, one tuple per codeword, so index size
-        // accounting covers them, as PASE's meta pages do.
-        let codebook_rel = bm.disk().create_relation();
-        let codewords = (0..pq.m()).flat_map(|sub| (0..pq.cpq()).map(move |j| (sub, j)));
-        write_pages(
-            bm,
-            codebook_rel,
-            codewords.map(|(sub, j)| as_bytes_f32(pq.codeword(sub, j))),
-        )?;
-        let mut index = PaseIvfPqIndex {
-            opts,
-            params,
-            pq_params,
-            dim: quantizer.dim(),
-            quantizer,
-            pq,
-            pages,
-            codebook_rel,
-            len: 0,
-            cache: None,
-        };
-        index.add_all(bm, data, ids)?;
-        if index.opts.memory_optimized {
-            index.populate_cache(bm)?;
-        }
-        let add = t1.elapsed();
-        Ok((index, BuildTiming { train, add }))
-    }
-
-    fn add_all(&mut self, bm: &BufferManager, data: &VectorSet, ids: Option<&[u64]>) -> Result<()> {
-        let _t = profile::scoped(Category::IvfAdd);
-        let id_of = |base: u64, i: usize| ids.map_or(base + i as u64, |v| v[i]);
-        let base = self.len as u64;
-        match self.opts.assignment_gemm {
-            Some(kernel) => {
-                let assignments = self.quantizer.assign_batch(kernel, data);
-                for (i, &a) in assignments.iter().enumerate() {
-                    let code = self.pq.encode(data.row(i));
-                    self.pages.append(bm, a as usize, id_of(base, i), &code)?;
-                }
-            }
-            None => {
-                for i in 0..data.len() {
-                    let v = data.row(i);
-                    let (a, _) = self.quantizer.nearest(self.opts.distance, v);
-                    let code = self.pq.encode(v);
-                    self.pages.append(bm, a, id_of(base, i), &code)?;
-                }
-            }
-        }
-        self.len += data.len();
-        Ok(())
-    }
-
-    fn populate_cache(&mut self, bm: &BufferManager) -> Result<()> {
-        let mut cache = Vec::with_capacity(self.pages.buckets());
-        for b in 0..self.pages.buckets() {
-            let mut ids = Vec::new();
-            let mut codes = Vec::new();
-            self.pages.visit(bm, b, |id, code| {
-                ids.push(id);
-                codes.extend_from_slice(code);
-            })?;
-            cache.push(BucketCache { ids, codes });
-        }
-        self.cache = Some(cache);
-        Ok(())
-    }
-
-    /// The product quantizer.
-    pub fn pq(&self) -> &ProductQuantizer {
-        &self.pq
-    }
-
-    /// The PQ parameters the index was built with.
-    pub fn pq_params(&self) -> PqParams {
-        self.pq_params
-    }
-
-    /// Per-bucket tuple counts.
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.pages.bucket_sizes()
-    }
-
-    fn select_probes(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        nprobe: usize,
-    ) -> Result<Vec<usize>> {
-        self.pages
-            .select_probes(bm, &self.opts, &self.quantizer, query, nprobe)
-    }
-
-    /// Search with an explicit `nprobe`.
-    pub fn search_with_nprobe(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Neighbor>> {
-        assert_eq!(query.len(), self.dim, "dimension mismatch");
-        let probes = self.select_probes(bm, query, nprobe)?;
-        // RC#7: table construction strategy comes from the options.
-        let table = self.pq.adc_table(self.opts.pq_table, query);
-        let mut out = Vec::new();
-        self.opts.probe_search(
-            &[(table, probes)],
-            k,
-            |table, b, scratch, sink| {
-                self.scan_bucket_into(bm, b, table, scratch, &mut |id, d| sink.push(id, d))
-            },
-            |r| out = r,
-        )?;
-        Ok(out)
-    }
-
-    /// Batch search with intra-query parallelism over a persistent
-    /// worker pool (see the IVF_FLAT equivalent).
-    pub fn search_batch_with_nprobe(
-        &self,
-        bm: &BufferManager,
-        queries: &VectorSet,
-        k: usize,
-        nprobe: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let batch: Vec<(Vec<f32>, Vec<usize>)> = queries
-            .iter()
-            .map(|q| {
-                let probes = self.select_probes(bm, q, nprobe)?;
-                Ok((self.pq.adc_table(self.opts.pq_table, q), probes))
-            })
-            .collect::<Result<_>>()?;
-        let mut out = Vec::with_capacity(batch.len());
-        self.opts.probe_search(
-            &batch,
-            k,
-            |table, b, scratch, sink| {
-                self.scan_bucket_into(bm, b, table, scratch, &mut |id, d| sink.push(id, d))
-            },
-            |r| out.push(r),
-        )?;
-        Ok(out)
-    }
-
-    /// Scan one bucket with ADC lookups, feeding `(id, distance)` pairs
-    /// to `push`: [`IvfPages::scan`], or the cached codes under the
-    /// RC#2 fix.
-    fn scan_bucket_into(
-        &self,
-        bm: &BufferManager,
-        b: usize,
-        table: &[f32],
-        scratch: &mut ScanScratch,
-        push: &mut dyn FnMut(u64, f32),
-    ) -> Result<()> {
-        let kernel = |code: &[u8]| self.pq.adc_distance(table, code);
-        let Some(cache) = &self.cache else {
-            return self.pages.scan(bm, b, None, scratch, kernel, push);
-        };
-        let bucket = &cache[b];
-        let codes = bucket.codes.chunks_exact(self.pq.code_len());
-        scratch.score(bucket.ids.iter().copied().zip(codes), kernel);
-        scratch.flush(push);
-        Ok(())
+        Self::build_paged(opts, params, pq_params, bm, ids, data)
     }
 }
 
-impl PaseIndex for PaseIvfPqIndex {
-    fn am_name(&self) -> &'static str {
-        "ivfpq"
+/// The specialized engine's IVF_PQ API.
+impl Ivf<Resident<Pq>, Pq> {
+    /// Train coarse quantizer and PQ codebooks on a sample, then encode
+    /// and add all of `data`; queries build the optimized ADC table.
+    pub fn build(
+        opts: impl Into<GeneralizedOptions>,
+        params: IvfParams,
+        pq_params: PqParams,
+        data: &VectorSet,
+    ) -> (Self, BuildTiming) {
+        Self::build_with_table_mode(opts, params, pq_params, PqTableMode::Optimized, data)
     }
 
-    fn scan(&self, bm: &BufferManager, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.search_with_nprobe(bm, query, k, self.params.nprobe)
-    }
-
-    fn scan_with_knob(
-        &self,
-        bm: &BufferManager,
-        query: &[f32],
-        k: usize,
-        knob: Option<usize>,
-    ) -> Result<Vec<Neighbor>> {
-        self.search_with_nprobe(bm, query, k, knob.unwrap_or(self.params.nprobe))
-    }
-
-    fn insert(&mut self, bm: &BufferManager, id: u64, vector: &[f32]) -> Result<()> {
-        assert_eq!(vector.len(), self.dim, "dimension mismatch");
-        let (b, _) = self.quantizer.nearest(self.opts.distance, vector);
-        let code = self.pq.encode(vector);
-        self.pages.append(bm, b, id, &code)?;
-        self.len += 1;
-        if let Some(cache) = &mut self.cache {
-            cache[b].ids.push(id);
-            cache[b].codes.extend_from_slice(&code);
-        }
-        Ok(())
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn size_bytes(&self, bm: &BufferManager) -> usize {
-        self.pages.size_bytes(bm) + bm.disk().relation_bytes(self.codebook_rel)
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
+    /// Build selecting the ADC table implementation (RC#7 switch).
+    pub fn build_with_table_mode(
+        opts: impl Into<GeneralizedOptions>,
+        params: IvfParams,
+        pq_params: PqParams,
+        pq_table: PqTableMode,
+        data: &VectorSet,
+    ) -> (Self, BuildTiming) {
+        let opts = GeneralizedOptions {
+            pq_table,
+            ..opts.into()
+        };
+        Self::build_resident(opts, params, pq_params, None, data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_am::PaseIndex;
     use std::sync::Arc;
     use vdb_datagen::gaussian::generate;
     use vdb_storage::{DiskManager, PageSize};
-    use vdb_vecmath::PqTableMode;
+    use vdb_vecmath::Neighbor;
 
     fn setup() -> (BufferManager, VectorSet) {
         let disk = Arc::new(DiskManager::new(PageSize::Size8K));
@@ -386,7 +237,7 @@ mod tests {
     /// neighbors, bit for bit, serially and batched, on random queries,
     /// `k` and `nprobe`, after random inserts that leave partly filled
     /// tail pages. At full probe both equal the ADC distance of every
-    /// row's code, which also checks the cache `populate_cache` read.
+    /// row's code, which also checks the copy the appends filled.
     #[test]
     fn memory_optimized_matches_paged_path() {
         vdb_vecmath::rng::cases("memory_optimized_matches_paged_path", 8, |rng| {
@@ -471,7 +322,7 @@ mod tests {
         let (pq_idx, _) = PaseIvfPqIndex::build(opts, ivf, pqp, &bm, &data).unwrap();
         let (flat_idx, _) =
             crate::ivf_flat::PaseIvfFlatIndex::build(opts, ivf, &bm, &data).unwrap();
-        let pq_bytes = pq_idx.pages.data_bytes(&bm);
+        let pq_bytes = pq_idx.store.pages.data_bytes(&bm);
         let flat_bytes = flat_idx.size_bytes(&bm);
         assert!(
             pq_bytes * 3 < flat_bytes,

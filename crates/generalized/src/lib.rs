@@ -1,6 +1,6 @@
 //! The generalized vector engine — this repository's PASE.
 //!
-//! The same three indexes as [`vdb_specialized`] (IVF_FLAT, IVF_PQ,
+//! The same three indexes as `vdb_specialized` (IVF_FLAT, IVF_PQ,
 //! HNSW), but implemented the way a PostgreSQL extension must implement
 //! them (paper §II-E): vectors live as tuples in heap pages, indexes
 //! follow the page structure, and every access goes through the buffer
@@ -22,9 +22,11 @@
 
 pub mod hnsw;
 pub mod index_am;
+pub mod ivf;
 pub mod ivf_flat;
 mod ivf_pages;
 pub mod ivf_pq;
+pub mod ivf_sq8;
 pub mod options;
 pub mod pgvector;
 

@@ -5,7 +5,7 @@ use vdb_gemm::GemmKernel;
 use vdb_storage::sync::OrderedMutex;
 use vdb_vecmath::parallel::probe_scan;
 use vdb_vecmath::{
-    DistanceKernel, Kmeans, KmeansFlavor, Metric, Neighbor, PqTableMode, TopKCollector, TopKSink,
+    DistanceKernel, KmeansFlavor, Metric, Neighbor, PqTableMode, TopKCollector, TopKSink,
     TopKStrategy,
 };
 
@@ -57,7 +57,7 @@ pub struct GeneralizedOptions {
     pub pq_table: PqTableMode,
     /// RC#3: parallel-search merge strategy.
     pub parallel: ParallelMode,
-    /// Worker threads for search, and for the IVF_FLAT adding phase when
+    /// Worker threads for search, and for the IVF adding phase when
     /// [`parallel`](Self::parallel) is the fixed `LocalHeapMerge` (PASE
     /// builds are always serial — the paper notes PASE "does not support
     /// parallelism for index construction").
@@ -106,22 +106,6 @@ impl GeneralizedOptions {
             hnsw_layout: HnswLayout::Packed,
             ..Default::default()
         }
-    }
-
-    /// The `nprobe` buckets of the in-memory `quantizer` nearest `query`
-    /// under [`metric`](Self::metric), best first: probe selection with
-    /// the RC#2 fix (no centroid pages), in the order the pages give.
-    pub(crate) fn quantizer_probes(
-        &self,
-        quantizer: &Kmeans,
-        query: &[f32],
-        nprobe: usize,
-    ) -> Vec<usize> {
-        quantizer
-            .nearest_n_by(self.metric, self.distance, query, nprobe)
-            .into_iter()
-            .map(|(b, _)| b)
-            .collect()
     }
 
     /// RC#3 for every IVF index built on these options: scan `batch`

@@ -47,7 +47,7 @@ impl PgVectorIvfFlatIndex {
         nprobe: usize,
     ) -> Result<Vec<Neighbor>> {
         assert!(k > 0, "k must be positive");
-        let rows = self.inner.rows(bm);
+        let rows = &self.inner.rows(bm);
         let mut all = SortInput(Vec::new());
         let mut scratch = ScanScratch::default();
         for b in self.inner.probes(rows, query, nprobe)? {

@@ -1,6 +1,6 @@
-//! IVF_FLAT (Faiss's `IndexIVFFlat`): the one IVF_FLAT core,
-//! [`vdb_generalized::ivf_flat::IvfFlat`], over resident buckets with
-//! every root-cause fix on (see [`crate::SpecializedOptions`]'s
+//! IVF_FLAT (Faiss's `IndexIVFFlat`): the one IVF core,
+//! [`vdb_generalized::ivf::Ivf`], over resident buckets of raw vectors
+//! with every root-cause fix on (see [`crate::SpecializedOptions`]'s
 //! conversion).
 //!
 //! Training clusters a sample into `c` centroids; adding assigns every
@@ -10,46 +10,17 @@
 //! optionally one bucket-partition per thread with local heaps merged at
 //! the end (RC#3).
 
-use crate::VectorIndex;
-use vdb_filter::{FilterStrategy, SelectionBitmap};
 use vdb_generalized::ivf_flat::{IvfFlat, Resident};
-use vdb_vecmath::Neighbor;
 
 /// The IVF_FLAT index.
 pub type IvfFlatIndex = IvfFlat<Resident>;
-
-impl VectorIndex for IvfFlatIndex {
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_with_nprobe(query, k, self.default_nprobe())
-    }
-
-    fn len(&self) -> usize {
-        IvfFlat::len(self)
-    }
-
-    fn size_bytes(&self) -> usize {
-        IvfFlat::size_bytes(self)
-    }
-
-    /// Only bitmap-passing entries are scored: pre-filter scans every
-    /// inverted list (exact under the filter), post-filter the `nprobe`
-    /// probed lists once.
-    fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &SelectionBitmap,
-        strategy: FilterStrategy,
-    ) -> Vec<Neighbor> {
-        IvfFlat::search_filtered(self, query, k, filter, strategy)
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
     use crate::options::{IvfParams, SpecializedOptions};
+    use crate::VectorIndex;
     use vdb_datagen::gaussian::generate;
     use vdb_vecmath::VectorSet;
 

@@ -1,201 +1,29 @@
-//! IVF_SQ8 (Faiss's `IndexIVFScalarQuantizer` with `QT_8bit`).
+//! IVF_SQ8 (Faiss's `IndexIVFScalarQuantizer` with `QT_8bit`): the one
+//! IVF core, [`vdb_generalized::ivf::Ivf`], over resident buckets of
+//! 8-bit scalar-quantized codes.
 //!
 //! The fourth quantization-based index of the paper's survey (§II-B):
-//! IVF coarse structure with 8-bit scalar-quantized residuals per
-//! bucket entry. 4× smaller than IVF_FLAT with far better recall than
-//! IVF_PQ at the same byte budget — the middle ground the survey
-//! describes. Not part of the paper's evaluation; included as the
-//! repository's extension index, specialized engine only.
+//! 4× smaller than IVF_FLAT with far better recall than IVF_PQ at the
+//! same byte budget — the middle ground the survey describes. Not part
+//! of the paper's evaluation; included as the repository's extension
+//! index, specialized engine only.
 
-use crate::options::{BuildTiming, IvfParams, SpecializedOptions};
-use crate::VectorIndex;
-use std::time::Instant;
-use vdb_profile::{self as profile, Category};
-use vdb_vecmath::parallel::map_chunks;
-use vdb_vecmath::sampling::sample_indices;
-use vdb_vecmath::sq::ScalarQuantizer;
-use vdb_vecmath::{simd, Kmeans, KmeansParams, Neighbor, TopKSink, VectorSet};
+use vdb_generalized::ivf::{Ivf, Resident};
+use vdb_generalized::ivf_sq8::Sq8;
 
-/// One inverted list of `(id, sq8-code)` entries.
-struct Sq8Bucket {
-    ids: Vec<u64>,
-    codes: Vec<u8>,
-}
-
-/// The IVF_SQ8 index.
-pub struct IvfSq8Index {
-    opts: SpecializedOptions,
-    params: IvfParams,
-    quantizer: Kmeans,
-    sq: ScalarQuantizer,
-    buckets: Vec<Sq8Bucket>,
-    dim: usize,
-    len: usize,
-}
-
-impl IvfSq8Index {
-    /// Train coarse centroids and per-dimension ranges on a sample,
-    /// then encode and add all of `data`.
-    pub fn build(
-        opts: SpecializedOptions,
-        params: IvfParams,
-        data: &VectorSet,
-    ) -> (IvfSq8Index, BuildTiming) {
-        assert!(!data.is_empty(), "cannot build IVF_SQ8 over no vectors");
-        let t0 = Instant::now();
-        let idx = sample_indices(data.len(), params.sample_ratio, params.clusters, opts.seed);
-        let sample = data.gather(&idx);
-        let quantizer = Kmeans::train(
-            opts.kmeans,
-            &sample,
-            &KmeansParams {
-                k: params.clusters,
-                iters: opts.kmeans_iters,
-                seed: opts.seed,
-                gemm: opts.gemm,
-            },
-        );
-        let sq = ScalarQuantizer::train(&sample);
-        let train = t0.elapsed();
-
-        let t1 = Instant::now();
-        let buckets = (0..quantizer.k())
-            .map(|_| Sq8Bucket {
-                ids: Vec::new(),
-                codes: Vec::new(),
-            })
-            .collect();
-        let mut index = IvfSq8Index {
-            opts,
-            params,
-            quantizer,
-            sq,
-            buckets,
-            dim: data.dim(),
-            len: 0,
-        };
-        index.add_all(data);
-        let add = t1.elapsed();
-        (index, BuildTiming { train, add })
-    }
-
-    fn add_all(&mut self, data: &VectorSet) {
-        let _t = profile::scoped(Category::IvfAdd);
-        let d = data.dim();
-        let threads = self.opts.threads.max(1);
-        let assignments: Vec<u32> = if threads == 1 {
-            self.quantizer.assign_batch(self.opts.gemm, data)
-        } else {
-            map_chunks(data.len(), threads, |r| {
-                // Borrowed range of the flat matrix — no per-chunk copy.
-                self.quantizer.assign_batch_flat(
-                    self.opts.gemm,
-                    d,
-                    &data.as_flat()[r.start * d..r.end * d],
-                )
-            })
-            .concat()
-        };
-        for (i, &a) in assignments.iter().enumerate() {
-            let bucket = &mut self.buckets[a as usize];
-            bucket.ids.push(self.len as u64 + i as u64);
-            bucket.codes.extend(self.sq.encode(data.row(i)));
-        }
-        self.len += data.len();
-    }
-
-    /// The scalar quantizer.
-    pub fn sq(&self) -> &ScalarQuantizer {
-        &self.sq
-    }
-
-    /// Search with an explicit `nprobe`.
-    pub fn search_with_nprobe(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "dimension mismatch");
-        let probes = self.opts.probes(&self.quantizer, query, nprobe);
-        let mut out = Vec::new();
-        self.opts.probe_search(
-            &[(query, probes)],
-            k,
-            |q, b, sink, scratch| self.scan_bucket_into(q, b, sink, scratch),
-            |r| out = r,
-        );
-        out
-    }
-
-    /// Parallel batch search over the persistent pool.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, nprobe: usize) -> Vec<Vec<Neighbor>> {
-        let batch: Vec<(&[f32], Vec<usize>)> = queries
-            .iter()
-            .map(|q| (q, self.opts.probes(&self.quantizer, q, nprobe)))
-            .collect();
-        let mut out = Vec::with_capacity(batch.len());
-        self.opts.probe_search(
-            &batch,
-            k,
-            |q, b, sink, scratch| self.scan_bucket_into(q, b, sink, scratch),
-            |r| out.push(r),
-        );
-        out
-    }
-
-    /// Per-bucket occupancy.
-    pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.iter().map(|b| b.ids.len()).collect()
-    }
-
-    /// Fused bucket scan: batched fused decode-and-diff distances over
-    /// the packed codes (one `DistanceCalc` scope), then threshold-pruned
-    /// pushes (one `MinHeap` scope). Serial and parallel search share
-    /// this path so their results stay bit-identical.
-    fn scan_bucket_into<S: TopKSink>(
-        &self,
-        query: &[f32],
-        b: usize,
-        sink: &mut S,
-        scratch: &mut Vec<f32>,
-    ) {
-        let bucket = &self.buckets[b];
-        let n = bucket.ids.len();
-        {
-            let _t = profile::scoped(Category::DistanceCalc);
-            scratch.clear();
-            scratch.resize(n, 0.0);
-            self.sq.asym_l2_sqr_batch(query, &bucket.codes, scratch);
-        }
-        simd::offer_scanned(sink, scratch, Some(&bucket.ids));
-    }
-}
-
-impl VectorIndex for IvfSq8Index {
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_with_nprobe(query, k, self.params.nprobe)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Centroids + per-dimension ranges + 1 byte/dim codes + ids.
-    fn size_bytes(&self) -> usize {
-        let centroid = std::mem::size_of_val(self.quantizer.centroids().as_flat());
-        let ranges = self.dim * 2 * std::mem::size_of::<f32>();
-        let data: usize = self
-            .buckets
-            .iter()
-            .map(|b| b.codes.len() + b.ids.len() * std::mem::size_of::<u64>())
-            .sum();
-        centroid + ranges + data
-    }
-}
+/// The IVF_SQ8 index: centroids + per-dimension ranges + 1 byte/dim
+/// codes + ids.
+pub type IvfSq8Index = Ivf<Resident<Sq8>, Sq8>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
     use crate::ivf_pq::IvfPqIndex;
-    use crate::options::PqParams;
+    use crate::options::{IvfParams, PqParams, SpecializedOptions};
+    use crate::VectorIndex;
     use vdb_datagen::gaussian::generate;
+    use vdb_vecmath::VectorSet;
 
     fn params() -> IvfParams {
         IvfParams {

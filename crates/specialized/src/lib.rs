@@ -2,11 +2,12 @@
 //!
 //! A purpose-built, in-memory vector search library: vectors live in flat
 //! arrays addressed by integer id, and no search reads a page, takes a
-//! buffer pin or follows a tuple pointer. [`IvfFlatIndex`] is the
-//! generalized engine's IVF_FLAT core ([`vdb_generalized::ivf_flat`])
-//! over resident buckets with every root-cause fix on, so this crate
-//! depends on `vdb-generalized`, but its IVF_FLAT never touches the
-//! storage layer. Where the paper credits Faiss with a specific
+//! buffer pin or follows a tuple pointer. [`IvfFlatIndex`],
+//! [`IvfPqIndex`] and [`IvfSq8Index`] are the generalized engine's one
+//! IVF core ([`vdb_generalized::ivf`]) over resident buckets with every
+//! root-cause fix on, one codec each, so this crate depends on
+//! `vdb-generalized`, but its IVF indexes never touch the storage
+//! layer. Where the paper credits Faiss with a specific
 //! optimization, this engine implements it and exposes the switch:
 //!
 //! * **RC#1** — the IVF adding phase assigns vectors to centroids with a
@@ -41,6 +42,8 @@ pub use options::{BuildTiming, HnswParams, IvfParams, PqParams, SpecializedOptio
 pub use vdb_filter::{FilterStrategy, SelectionBitmap};
 pub use vdb_vecmath::Neighbor;
 
+use vdb_generalized::ivf::{Codec, Ivf, Resident};
+
 /// Common interface over the specialized indexes.
 pub trait VectorIndex {
     /// Top-k search for a single query.
@@ -58,12 +61,13 @@ pub trait VectorIndex {
     ///
     /// The default implementation handles both strategies with the
     /// shared adaptive k-expansion loop over [`search`](Self::search) —
-    /// approximate for approximate indexes ([`HnswIndex`], [`IvfPqIndex`]
-    /// and [`IvfSq8Index`] use it; for HNSW a larger `k'` also widens
-    /// the search beam). [`FlatIndex`] and [`IvfFlatIndex`] override both
-    /// arms with one bitmap-qualified scan: of every row or list for
-    /// pre-filter (exact), and for IVF_FLAT post-filter of the `nprobe`
-    /// probed lists, whose candidates a larger `k'` would not change.
+    /// approximate for approximate indexes ([`HnswIndex`] uses it; a
+    /// larger `k'` also widens its search beam). [`FlatIndex`] and the
+    /// IVF indexes ([`IvfFlatIndex`], [`IvfPqIndex`], [`IvfSq8Index`])
+    /// override both arms with one bitmap-qualified scan: of every row or
+    /// list for pre-filter (exact), and for IVF post-filter of the
+    /// `nprobe` probed lists, whose candidates a larger `k'` would not
+    /// change.
     fn search_filtered(
         &self,
         query: &[f32],
@@ -79,5 +83,33 @@ pub trait VectorIndex {
             |id| filter.contains(id),
             |k_prime| self.search(query, k_prime),
         )
+    }
+}
+
+/// [`VectorIndex`] for every index on the one IVF core: its own methods,
+/// and its filtered search at the build-time `nprobe`, one
+/// bitmap-qualified walk of every inverted list (pre-filter, exact under
+/// the filter) or of the `nprobe` probed lists (post-filter).
+impl<C: Codec> VectorIndex for Ivf<Resident<C>, C> {
+    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+        self.search_with_nprobe(query, k, self.default_nprobe())
+    }
+
+    fn len(&self) -> usize {
+        Ivf::len(self)
+    }
+
+    fn size_bytes(&self) -> usize {
+        Ivf::size_bytes(self)
+    }
+
+    fn search_filtered(
+        &self,
+        query: &[f32],
+        k: usize,
+        filter: &SelectionBitmap,
+        strategy: FilterStrategy,
+    ) -> Vec<Neighbor> {
+        Ivf::search_filtered(self, query, k, filter, strategy)
     }
 }

@@ -673,9 +673,12 @@ impl Database {
             crate::planner::Plan::FilteredSeqScanTopK { pred, k, .. } => {
                 format!("Seq Scan on {table_name} (filter: {pred}) -> Sort -> Limit (k={k})")
             }
-            crate::planner::Plan::PointLookup { id } => {
-                format!("Index Scan using btree (id) on {table_name} (cond: id = {id})")
-            }
+            crate::planner::Plan::PointLookup { id, limit } => match limit {
+                Some(l) => format!(
+                    "Index Scan using btree (id) on {table_name} (cond: id = {id}, limit {l})"
+                ),
+                None => format!("Index Scan using btree (id) on {table_name} (cond: id = {id})"),
+            },
             crate::planner::Plan::FilteredScan { pred, limit } => match limit {
                 Some(l) => format!("Seq Scan on {table_name} (filter: {pred}, limit {l})"),
                 None => format!("Seq Scan on {table_name} (filter: {pred})"),

@@ -128,14 +128,19 @@ pub fn execute_select(
             )?;
             project_neighbors(db, table, projection, &found)
         }
-        Plan::PointLookup { id } => {
+        Plan::PointLookup { id, limit } => {
             let state = db.table(table)?;
             let key = key_from_i64(id);
             let mut tids = Vec::new();
-            state.ids.range(db.bm(), key, key, |hit| {
-                tids.push(hit.tid);
-                ControlFlow::Continue(())
-            })?;
+            if limit != Some(0) {
+                state.ids.range(db.bm(), key, key, |hit| {
+                    tids.push(hit.tid);
+                    match limit.is_some_and(|l| tids.len() >= l) {
+                        true => ControlFlow::Break(()),
+                        false => ControlFlow::Continue(()),
+                    }
+                })?;
+            }
             let rows = tids
                 .into_iter()
                 .map(|tid| fetch_row(db, table, tid, None))

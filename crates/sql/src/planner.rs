@@ -78,6 +78,8 @@ pub enum Plan {
     PointLookup {
         /// The id searched for.
         id: i64,
+        /// Optional row limit: the first rows in TID order.
+        limit: Option<usize>,
     },
     /// Predicate-only scan, no vector ordering.
     FilteredScan {
@@ -136,7 +138,7 @@ pub fn plan_select(
         return Ok(match where_clause {
             // The classic point lookup keeps its dedicated plan.
             Some(pred) => match pred.as_id_equality() {
-                Some(id) => Plan::PointLookup { id },
+                Some(id) => Plan::PointLookup { id, limit: *limit },
                 None => Plan::FilteredScan {
                     pred: pred.clone(),
                     limit: *limit,
@@ -251,7 +253,7 @@ mod tests {
         let stmt = parse("SELECT id FROM t WHERE id = 3").unwrap();
         assert_eq!(
             plan_select(&stmt, &cands(), &stats(0, None)).unwrap(),
-            Plan::PointLookup { id: 3 }
+            Plan::PointLookup { id: 3, limit: None }
         );
     }
 

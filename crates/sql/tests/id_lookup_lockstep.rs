@@ -1,15 +1,16 @@
 //! The table's id B-tree against a plain row-list model of the heap-scan
 //! semantics it replaced.
 //!
-//! Random INSERT / DELETE / `SELECT * … WHERE id = n` / `SELECT * …
-//! ORDER BY vec <-> q LIMIT k` sequences, with duplicate, negative and
+//! Random INSERT / DELETE / `SELECT * … WHERE id = n [LIMIT l]` /
+//! `SELECT * … ORDER BY vec <-> q LIMIT k` sequences, with duplicate, negative and
 //! re-inserted ids, run on an `ivfflat` and a `decoupled_ivfflat` table
 //! through a 16-page buffer pool and are compared with a model that
 //! holds:
 //!
 //! * rows live in heap order, which is insertion order;
 //! * DELETE removes the newest row with the id and errs without one;
-//! * `WHERE id = n` returns every live row with the id, oldest first;
+//! * `WHERE id = n` returns every live row with the id, oldest first,
+//!   and under `LIMIT l` the first `l` of them;
 //! * a top-k scan over-fetches by the ids deleted since the index was
 //!   built, drops those ids, and projects each hit onto the newest row
 //!   with its id. The page-based index keeps the entries of deleted
@@ -265,10 +266,20 @@ fn run_case(rng: &mut Rng, using: &str) {
             }
             12..=15 => {
                 let id = random_id(rng, &model, &mut fresh);
+                // Half the lookups take a LIMIT: the first rows, oldest first.
+                let (limit, clause) = match rng.bool() {
+                    true => {
+                        let l = rng.range_usize(1..4);
+                        (l, format!(" LIMIT {l}"))
+                    }
+                    false => (usize::MAX, String::new()),
+                };
                 let res = db
-                    .query(&format!("SELECT * FROM t WHERE id = {id}"))
+                    .query(&format!("SELECT * FROM t WHERE id = {id}{clause}"))
                     .unwrap_or_else(|e| panic!("{why}: {e}"));
-                assert_eq!(res.rows, model.lookup(id), "{why}: WHERE id = {id}");
+                let mut want = model.lookup(id);
+                want.truncate(limit);
+                assert_eq!(res.rows, want, "{why}: WHERE id = {id}{clause}");
             }
             _ => {
                 let q = random_vec(rng);

@@ -127,7 +127,7 @@ impl BTree {
 
     /// Add `entries`. An empty tree is built bottom-up in one pass over
     /// the sorted entries (pages written left to right, each level filled
-    /// to [`BUILD_FILL_PCT`]); a non-empty one takes them one
+    /// to `BUILD_FILL_PCT`); a non-empty one takes them one
     /// [`insert`](Self::insert) at a time.
     pub fn extend(&mut self, bm: &BufferManager, entries: &[(u64, Tid)]) -> Result<()> {
         if self.height > 0 {

@@ -5,7 +5,7 @@
 //! interleaving of its model threads: each blocking acquire of a
 //! [`sync::Mutex`]/[`sync::RwLock`] and each non-`Relaxed` operation on
 //! a model atomic is a scheduling point, and the scheduler DFS-walks
-//! the decision tree one schedule per run (see [`sched`]). Under
+//! the decision tree one schedule per run (see `sched`). Under
 //! `--cfg vdb_loom`, [`crate::sync`] routes the real
 //! `OrderedMutex`/`OrderedRwLock` and the `sync::atomic` facade through
 //! these instrumented types, so the *actual* buffer-pool and change-log

@@ -228,7 +228,7 @@ fn mini_read(f: &MiniFrame, block: u64, revalidate: bool) {
     }
 }
 
-/// Model over [`MiniFrame`]: two threads read different blocks through
+/// Model over `MiniFrame`: two threads read different blocks through
 /// one frame. With `revalidate` the protocol holds on every schedule;
 /// without it the explorer finds the interleaving where a reader
 /// serves a stolen frame (`#[should_panic]` in the negative test).

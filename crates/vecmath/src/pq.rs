@@ -215,30 +215,13 @@ impl ProductQuantizer {
         acc
     }
 
-    /// Batched LUT scan: ADC distances for every packed code in `codes`
-    /// (`out.len()` codes of `code_len()` bytes each, back to back).
-    ///
-    /// Four independent accumulators walk four subspaces per iteration,
-    /// breaking [`ProductQuantizer::adc_distance`]'s dependent chain of
-    /// table lookups; no per-code profiling or bounds re-checks. Callers
-    /// attribute the whole batch.
-    ///
-    /// # Panics
-    /// Panics if `codes.len() != out.len() * code_len()`.
-    pub fn adc_distance_batch(&self, table: &[f32], codes: &[u8], out: &mut [f32]) {
-        debug_assert_eq!(table.len(), self.m * self.cpq);
-        assert_eq!(
-            codes.len(),
-            out.len() * self.m,
-            "packed codes / output length mismatch"
-        );
-        for (o, code) in out.iter_mut().zip(codes.chunks_exact(self.m)) {
-            *o = self.adc_distance_unrolled(table, code);
-        }
-    }
-
+    /// [`ProductQuantizer::adc_distance`] with four independent
+    /// accumulators walking four subspaces per iteration, breaking the
+    /// dependent chain of table lookups; no per-code profiling. The IVF
+    /// scans run it over a whole bucket of packed codes (the `Optimized`
+    /// kernel) and attribute the whole bucket.
     #[inline]
-    fn adc_distance_unrolled(&self, table: &[f32], code: &[u8]) -> f32 {
+    pub fn adc_distance_unrolled(&self, table: &[f32], code: &[u8]) -> f32 {
         let cpq = self.cpq;
         let mut acc = [0.0f32; 4];
         let mut chunks = code.chunks_exact(4);
@@ -403,11 +386,8 @@ mod tests {
         for i in 10..40 {
             packed.extend_from_slice(&pq.encode(data.row(i)));
         }
-        let n = packed.len() / pq.code_len();
-        let mut out = vec![0.0f32; n];
-        pq.adc_distance_batch(&table, &packed, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let code = &packed[i * pq.code_len()..(i + 1) * pq.code_len()];
+        for (i, code) in packed.chunks_exact(pq.code_len()).enumerate() {
+            let got = pq.adc_distance_unrolled(&table, code);
             assert_eq!(got, pq.adc_distance(&table, code), "code {i}");
         }
     }

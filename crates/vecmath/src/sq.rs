@@ -88,29 +88,12 @@ impl ScalarQuantizer {
         acc
     }
 
-    /// Batched asymmetric squared L2 for every packed code in `codes`
-    /// (`out.len()` codes of `dim()` bytes each, back to back), with four
-    /// independent accumulators instead of
-    /// [`ScalarQuantizer::asym_l2_sqr`]'s dependent chain. Callers
-    /// attribute the whole batch.
-    ///
-    /// # Panics
-    /// Panics if `codes.len() != out.len() * dim()`.
-    pub fn asym_l2_sqr_batch(&self, query: &[f32], codes: &[u8], out: &mut [f32]) {
-        let d = self.dim();
-        debug_assert_eq!(query.len(), d);
-        assert_eq!(
-            codes.len(),
-            out.len() * d,
-            "packed codes / output length mismatch"
-        );
-        for (o, code) in out.iter_mut().zip(codes.chunks_exact(d)) {
-            *o = self.asym_l2_sqr_unrolled(query, code);
-        }
-    }
-
+    /// [`ScalarQuantizer::asym_l2_sqr`] with four independent
+    /// accumulators instead of a dependent chain. The IVF scans run it
+    /// over a whole bucket of packed codes (the `Optimized` kernel) and
+    /// attribute the whole bucket.
     #[inline]
-    fn asym_l2_sqr_unrolled(&self, query: &[f32], code: &[u8]) -> f32 {
+    pub fn asym_l2_sqr_unrolled(&self, query: &[f32], code: &[u8]) -> f32 {
         let n = query.len();
         let mut acc = [0.0f32; 4];
         let mut j = 0usize;
@@ -205,11 +188,8 @@ mod tests {
         for i in 1..50 {
             packed.extend_from_slice(&sq.encode(data.row(i)));
         }
-        let n = packed.len() / sq.dim();
-        let mut out = vec![0.0f32; n];
-        sq.asym_l2_sqr_batch(q, &packed, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let code = &packed[i * sq.dim()..(i + 1) * sq.dim()];
+        for (i, code) in packed.chunks_exact(sq.dim()).enumerate() {
+            let got = sq.asym_l2_sqr_unrolled(q, code);
             let want = sq.asym_l2_sqr(q, code);
             assert!(
                 (got - want).abs() <= 1e-3 * (1.0 + want),

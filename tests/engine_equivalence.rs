@@ -6,13 +6,15 @@
 use std::sync::Arc;
 use vdb_core::datagen::{brute_force_topk, gaussian, recall_at_k};
 use vdb_core::generalized::{
-    FilterStrategy, GeneralizedOptions, PaseHnswIndex, PaseIndex, PaseIvfFlatIndex, SelectionBitmap,
+    FilterStrategy, GeneralizedOptions, PaseHnswIndex, PaseIndex, PaseIvfFlatIndex, PaseIvfPqIndex,
+    SelectionBitmap,
 };
-use vdb_core::specialized::{HnswIndex, IvfFlatIndex, SpecializedOptions, VectorIndex};
+use vdb_core::specialized::{HnswIndex, IvfFlatIndex, IvfPqIndex, SpecializedOptions, VectorIndex};
 use vdb_core::storage::{BufferManager, DiskManager, PageSize};
 use vdb_core::vecmath::rng::cases;
 use vdb_core::vecmath::{
-    DistanceKernel, HnswParams, IvfParams, KmeansFlavor, Metric, Neighbor, TopKStrategy, VectorSet,
+    DistanceKernel, HnswParams, IvfParams, KmeansFlavor, Metric, Neighbor, PqParams, TopKStrategy,
+    VectorSet,
 };
 
 fn bm(pages: usize) -> BufferManager {
@@ -102,6 +104,77 @@ fn ivfflat_same_centroids_same_results() {
             all(pase.search_batch_gemm(&bm, &queries, &ks, nprobe).unwrap()),
             all(faiss_star.search_batch_gemm(&queries, &ks, nprobe)),
             "batch-GEMM"
+        );
+    });
+}
+
+/// Generalized IVF_PQ with every fix on equals specialized IVF_PQ, bit
+/// for bit: both train the same coarse quantizer and codebooks from the
+/// same sample and seeds, and the ADC sum follows `distance` in both
+/// engines, so they round alike. Random probe depths and sub-vector
+/// counts, through serial, batch and both filtered strategies, on data
+/// with exact ties.
+#[test]
+fn ivfpq_all_fixes_equals_specialized() {
+    cases("ivfpq_all_fixes_equals_specialized", 8, |rng| {
+        let clusters = rng.range_usize(2..13);
+        let mut data = gaussian::generate(12, rng.range_usize(300..900), 6, rng.next_u64());
+        for _ in 0..rng.range_usize(1..80) {
+            let row = data.row(rng.range_usize(0..data.len())).to_vec();
+            data.push(&row);
+        }
+        let params = IvfParams {
+            clusters,
+            sample_ratio: 0.3,
+            nprobe: rng.range_usize(1..clusters + 1),
+        };
+        let pq = PqParams {
+            m: rng.pick(&[3, 4, 6, 12]),
+            cpq: 32,
+        };
+        let bm = bm(4096);
+        let (pase, _) =
+            PaseIvfPqIndex::build(GeneralizedOptions::all_fixes(), params, pq, &bm, &data).unwrap();
+        let (faiss, _) = IvfPqIndex::build(SpecializedOptions::default(), params, pq, &data);
+        assert_eq!(pase.bucket_sizes(), faiss.bucket_sizes());
+
+        let mut filter = SelectionBitmap::new();
+        for id in 0..data.len() as u64 {
+            if rng.range_usize(0..3) == 0 {
+                filter.insert(id);
+            }
+        }
+        let mut queries = VectorSet::empty(data.dim());
+        for _ in 0..6 {
+            let row = data.row(rng.range_usize(0..data.len()));
+            let q: Vec<f32> = row.iter().map(|x| x + rng.range_f32(-0.3..0.3)).collect();
+            let k = rng.range_usize(1..30);
+            let nprobe = rng.range_usize(1..clusters + 1);
+            assert_eq!(
+                bits(&pase.search_with_nprobe(&bm, &q, k, nprobe).unwrap()),
+                bits(&faiss.search_with_nprobe(&q, k, nprobe)),
+                "k={k} nprobe={nprobe}"
+            );
+            for strategy in [FilterStrategy::PreFilter, FilterStrategy::PostFilter] {
+                let found = pase.scan_filtered(&bm, &q, k, &filter, strategy, None);
+                assert_eq!(
+                    bits(&found.unwrap()),
+                    bits(&faiss.search_filtered(&q, k, &filter, strategy)),
+                    "{strategy:?} k={k}"
+                );
+            }
+            queries.push(&q);
+        }
+        let all = |found: Vec<Vec<Neighbor>>| -> Vec<Vec<(u64, u32)>> {
+            found.iter().map(|r| bits(r)).collect()
+        };
+        let (k, nprobe) = (rng.range_usize(1..30), params.nprobe);
+        assert_eq!(
+            all(pase
+                .search_batch_with_nprobe(&bm, &queries, k, nprobe)
+                .unwrap()),
+            all(faiss.search_batch(&queries, k, nprobe)),
+            "batch"
         );
     });
 }

@@ -14,11 +14,13 @@ use vdb_core::datagen::{
     brute_force_topk_filtered, gaussian, threshold_for_selectivity, uniform_attrs,
 };
 use vdb_core::filter::{post_filter_search, FilterStrategy, PostFilterParams, SelectionBitmap};
-use vdb_core::generalized::{GeneralizedOptions, PaseIndex, PaseIvfFlatIndex};
-use vdb_core::specialized::{FlatIndex, IvfFlatIndex, SpecializedOptions, VectorIndex};
+use vdb_core::generalized::{GeneralizedOptions, PaseIndex, PaseIvfFlatIndex, PaseIvfPqIndex};
+use vdb_core::specialized::{
+    FlatIndex, IvfFlatIndex, IvfPqIndex, IvfSq8Index, SpecializedOptions, VectorIndex,
+};
 use vdb_core::storage::{BufferManager, DiskManager, PageSize};
 use vdb_core::vecmath::rng::cases;
-use vdb_core::vecmath::{DistanceKernel, IvfParams, Metric, Neighbor, VectorSet};
+use vdb_core::vecmath::{DistanceKernel, IvfParams, Metric, Neighbor, PqParams, VectorSet};
 
 fn bm(pages: usize) -> BufferManager {
     BufferManager::new(Arc::new(DiskManager::new(PageSize::Size8K)), pages)
@@ -282,4 +284,86 @@ fn one_walk_post_filter_equals_retry_loop_at_partial_probe() {
             }
         },
     );
+}
+
+/// `(id, distance bits)` of each result, for bit-for-bit comparison.
+fn bits(found: &[Neighbor]) -> Vec<(u64, u32)> {
+    found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+}
+
+/// IVF_PQ and IVF_SQ8 take IVF_FLAT's one filtered walk: at partial
+/// probe, post-filter equals the k'-doubling loop over the unfiltered
+/// search, bit for bit, on random data and bitmaps, with `k` and
+/// `nprobe` drawn per case — specialized IVF_PQ and IVF_SQ8, and
+/// generalized IVF_PQ paged and memory-optimized, under both distance
+/// kernels.
+#[test]
+fn quantized_post_filter_walk_equals_retry_loop() {
+    cases("quantized_post_filter_walk_equals_retry_loop", 8, |rng| {
+        let n = rng.range_usize(300..700);
+        let (data, queries) = gaussian::generate_with_queries(8, n, 4, 4, rng.next_u64());
+        let (k, nprobe) = (rng.range_usize(1..16), rng.range_usize(1..8));
+        let params = IvfParams {
+            clusters: 8,
+            sample_ratio: 0.5,
+            nprobe,
+        };
+        let pq = PqParams { m: 4, cpq: 16 };
+        let keep = rng.range_usize(1..12);
+        let bitmap: SelectionBitmap = (0..n as u64)
+            .filter(|_| rng.range_usize(0..keep) == 0)
+            .collect();
+        let retry_loop = |len: usize, search: &dyn Fn(usize) -> Vec<Neighbor>| {
+            let passes = |id| bitmap.contains(id);
+            bits(&post_filter_search(
+                k,
+                len,
+                PostFilterParams::default(),
+                passes,
+                search,
+            ))
+        };
+        let bufs = bm(4_096);
+        for distance in [DistanceKernel::Reference, DistanceKernel::Optimized] {
+            let spec = SpecializedOptions {
+                distance,
+                ..Default::default()
+            };
+            let (ivfpq, _) = IvfPqIndex::build(spec, params, pq, &data);
+            let (sq8, _) = IvfSq8Index::build(spec, params, &data);
+            for (name, idx) in [("IVF_PQ", &ivfpq as &dyn VectorIndex), ("IVF_SQ8", &sq8)] {
+                for (qi, q) in queries.iter().enumerate() {
+                    assert_eq!(
+                        bits(&idx.search_filtered(q, k, &bitmap, FilterStrategy::PostFilter)),
+                        retry_loop(idx.len(), &|kp| idx.search(q, kp)),
+                        "specialized {name} {distance:?} k={k} nprobe={nprobe} q{qi}"
+                    );
+                }
+            }
+            for memory_optimized in [false, true] {
+                let opts = GeneralizedOptions {
+                    memory_optimized,
+                    distance,
+                    ..Default::default()
+                };
+                // Built with another default nprobe: the per-query knob decides.
+                let built = IvfParams {
+                    nprobe: 2,
+                    ..params
+                };
+                let (pase, _) = PaseIvfPqIndex::build(opts, built, pq, &bufs, &data).unwrap();
+                for (qi, q) in queries.iter().enumerate() {
+                    let strategy = FilterStrategy::PostFilter;
+                    let found = pase.scan_filtered(&bufs, q, k, &bitmap, strategy, Some(nprobe));
+                    assert_eq!(
+                        bits(&found.unwrap()),
+                        retry_loop(pase.len(), &|kp| {
+                            pase.search_with_nprobe(&bufs, q, kp, nprobe).unwrap()
+                        }),
+                        "generalized IVF_PQ cached={memory_optimized} {distance:?} q{qi}"
+                    );
+                }
+            }
+        }
+    });
 }
